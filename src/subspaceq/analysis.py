@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec
-from .graphs import CombinationMatrix, SubspaceBasis, projector
+from .graphs import CombinationMatrix, SubspaceBasis, reduced_problem
 from .learning import RunConfig, run, steady_mean
 
 DEFECTIVE_COND = 1e8
@@ -76,10 +76,12 @@ def spectral_report(comb: CombinationMatrix, basis: SubspaceBasis) -> SpectralRe
     J = Q^T A Q on the complement (eigh when symmetric, so orthonormal
     eigenvectors are preserved exactly), and assembles the full eigenbasis
     V = [U | Q S]. Raises DefectiveMatrix when that basis is ill conditioned
-    instead of perturbing toward a diagonalizable form.
+    instead of perturbing toward a diagonalizable form. A factored consensus
+    matrix W kron I_l is diagonalized as W against the scalar consensus
+    basis, whose eigenvalues and eigenbasis are those of A repeated l times.
     """
-    a = comb.a
-    u = basis.u
+    a, reduced = reduced_problem(comb, basis)
+    u = reduced.u
     q = _complement(u)
     j = q.T @ a @ q
 

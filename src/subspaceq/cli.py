@@ -335,7 +335,8 @@ def cmd_verify(exp: Experiment) -> int:
         print("PASS single-agent network: combination matrix is the scalar 1")
         return 0
 
-    checks = graphs.validate_combination(comb.a, top, basis)
+    matrix, checked = graphs.reduced_problem(comb, basis)
+    checks = graphs.validate_combination(matrix, top, checked)
     ok = True
     res = checks["residual"]
     line = "PASS" if res <= graphs.TOL_CONSTRAINT else "FAIL"
@@ -346,12 +347,13 @@ def cmd_verify(exp: Experiment) -> int:
     ok &= rho < 1.0
     print(f"{line} complement contraction: rho {rho:.6f}")
 
+    # a factored matrix has 1 x 1 blocks: A's block (k, j) is W[k, j] I_l
     pattern_ok = True
-    nl = exp.l
+    nl = 1 if comb.factored else exp.l
     for k in range(exp.n):
         for j in range(exp.n):
             if j not in top.neighborhoods[k]:
-                blk = comb.a[k * nl:(k + 1) * nl, j * nl:(j + 1) * nl]
+                blk = matrix[k * nl:(k + 1) * nl, j * nl:(j + 1) * nl]
                 pattern_ok &= bool(np.all(blk == 0.0))
     ok &= pattern_ok
     detail = "off-neighborhood blocks all zero" if pattern_ok else "nonzero block found"

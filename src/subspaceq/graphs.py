@@ -24,7 +24,6 @@ __all__ = [
     "Topology",
     "SubspaceBasis",
     "CombinationMatrix",
-    "GroundTruth",
     "NotConnected",
     "InvalidEdgeList",
     "EigenFailure",
@@ -40,6 +39,7 @@ __all__ = [
     "metropolis_weights",
     "build_combination",
     "validate_combination",
+    "reduced_problem",
     "smooth_signal",
     "compute_wopt",
     "projector",
@@ -105,15 +105,24 @@ class SubspaceBasis:
 
 @dataclass(frozen=True, eq=False)
 class CombinationMatrix:
-    a: np.ndarray                 # M x M, block sparsity per topology
+    """Combination matrix A, held either dense or as its n x n factor.
+
+    With ``factored`` set, ``matrix`` is the scalar weight matrix W and
+    A = W kron I_l for the common block size l; the dense A is then never
+    stored, and ``a`` builds it on every read.
+    """
+
+    matrix: np.ndarray            # M x M with block sparsity, or the factor W
     topology: Topology
     block_dims: tuple
+    factored: bool = False
 
-
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
-    w_star: np.ndarray
-    w_opt: np.ndarray
+    @property
+    def a(self) -> np.ndarray:
+        """The dense M x M matrix (a new array each read when factored)."""
+        if self.factored:
+            return np.kron(self.matrix, np.eye(self.block_dims[0]))
+        return self.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +350,41 @@ def validate_combination(a, topology, basis) -> dict:
     return {"residual": float(residual), "rho": rho}
 
 
+def reduced_problem(comb: CombinationMatrix, basis: SubspaceBasis) -> tuple:
+    """The (matrix, basis) pair on which to check a combination matrix.
+
+    A factored consensus matrix W kron I_l is checked as W against the scalar
+    consensus basis: the residuals are the same numbers and the spectrum of
+    W kron I_l - P_U is that of W - 11^T/n, each eigenvalue repeated l times.
+    A dense matrix is checked as it is, against its own basis.
+    """
+    if comb.factored:
+        return comb.matrix, subspace_consensus(comb.topology.n, 1)
+    return comb.matrix, basis
+
+
 def build_combination(topology, basis, mode="subspace-lsq") -> CombinationMatrix:
     """Combination matrix with the topology's sparsity satisfying the
     subspace eigen-conditions.
 
-    mode "consensus-metropolis" expands doubly stochastic scalar weights by a
-    block identity and requires the consensus basis; mode "subspace-lsq" fits
-    the closest matrix to the projector P_U over the sparsity pattern subject
-    to A U = U and U^T A = U^T, for any basis.
+    mode "consensus-metropolis" requires the consensus basis and keeps the
+    doubly stochastic scalar weights W, factored (A = W kron I_l); mode
+    "subspace-lsq" fits the closest dense matrix to the projector P_U over
+    the sparsity pattern subject to A U = U and U^T A = U^T, for any basis.
     """
     if mode == "consensus-metropolis":
         if not _is_consensus_basis(basis):
             raise ValueError("consensus-metropolis needs the consensus basis")
-        a = np.kron(metropolis_weights(topology), np.eye(basis.block_dims[0]))
+        comb = CombinationMatrix(metropolis_weights(topology), topology,
+                                 tuple(basis.block_dims), factored=True)
     elif mode == "subspace-lsq":
-        a = _constrained_lsq(topology, basis)
+        comb = CombinationMatrix(_constrained_lsq(topology, basis), topology,
+                                 tuple(basis.block_dims))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    validate_combination(a, topology, basis)
-    return CombinationMatrix(a, topology, tuple(basis.block_dims))
+    matrix, checked = reduced_problem(comb, basis)
+    validate_combination(matrix, topology, checked)
+    return comb
 
 
 # ---------------------------------------------------------------------------

@@ -99,23 +99,27 @@ class RunConfig:
 
 
 class NetworkState:
-    """Mutable per-repetition state: estimates, reconstruction states, and the
-    replicated copies each agent keeps of its neighbors.
+    """Mutable per-repetition state: estimates, reconstruction states, and,
+    in audit mode, the replicated copies each agent keeps of its neighbors.
 
     copies[k, j] is agent k's replica of agent j's phi (k keeps one of itself
-    too). Entries for non-neighbors stay at their initial zeros and are never
-    read, because the combination matrix is exactly zero off the neighborhood
-    pattern.
+    too). Every replica equals phi by construction, so the copies exist only
+    when ``replicas`` is set, as run(debug=True) does; step then updates them
+    and mixes from them, and check_consistency audits them. Entries for
+    non-neighbors stay at their initial zeros and are never read, because
+    the combination matrix is exactly zero off the neighborhood pattern.
     """
 
-    def __init__(self, n, l):
+    def __init__(self, n, l, replicas=False):
         self.n = n
         self.l = l
         self.w = np.zeros((n, l))
         self.phi = np.zeros((n, l))
-        self.copies = np.zeros((n, n, l))
+        self.copies = np.zeros((n, n, l)) if replicas else None
 
     def check_consistency(self, neighbor_mask):
+        if self.copies is None:
+            raise ValueError("no replicas to check; build with replicas=True")
         for k in range(self.n):
             for j in np.flatnonzero(neighbor_mask[k]):
                 if not np.array_equal(self.copies[k, j], self.phi[j]):
@@ -191,20 +195,28 @@ def _draw_psi(w, arrays, mu, streams, iteration):
     return w + mu * u * err[:, None]
 
 
-def _quantize_all(specs, chi, streams, iteration):
+def _shared_batch_spec(specs):
+    """The spec all agents share when it has a stacked quantize path, else
+    None. Specs compare by value, so equal but distinct objects share."""
+    first = specs[0]
+    if first.kind in quantizers.BATCH_KINDS and all(s == first for s in specs):
+        return first
+    return None
+
+
+def _quantize_all(specs, shared, chi, streams, iteration):
     """Broadcast phase: quantize every agent's innovation against its own
-    stream. Uses the stacked elementwise path when all agents share one
-    index-scheme spec (bit-identical to the per-agent path), falls back to
-    per-agent messages otherwise."""
+    stream. Uses the stacked elementwise path for the spec all agents share
+    (``shared``, from _shared_batch_spec; bit-identical to the per-agent
+    path), falls back to per-agent messages when it is None."""
     n, l = chi.shape
-    sp = specs[0]
-    if all(s is sp for s in specs) and sp.kind in ("identity", "uniform", "anq"):
-        if sp.kind == "identity":
-            return quantizers.quantize_batch(sp, chi)
+    if shared is not None:
+        if shared.kind == "identity":
+            return quantizers.quantize_batch(shared, chi)
         us = np.empty((n, l))
         for k in range(n):
             us[k] = streams.stream(iteration, k, QUANTIZE).random(l)
-        return quantizers.quantize_batch(sp, chi, us)
+        return quantizers.quantize_batch(shared, chi, us)
     bits = np.empty(n)
     delta = np.empty((n, l))
     for k in range(n):
@@ -215,34 +227,49 @@ def _quantize_all(specs, chi, streams, iteration):
     return bits, delta
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What stays fixed across the rounds of one run."""
+
+    arrays: tuple                 # _model_arrays(models)
+    shared: quantizers.QuantizerSpec | None   # _shared_batch_spec(specs)
+    nb_index: np.ndarray          # (n, d) agent indices matching the blocks
+
+
 def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
-         iteration, neighbor_mask=None, debug=False, trace=None, _arrays=None):
+         iteration, neighbor_mask=None, debug=False, trace=None, _plan=None):
     """One synchronous round of the three-phase recursion, in place.
 
     (a) psi_k = w_k - mu * gradient draw; (b) quantize chi_k = psi_k - phi_k,
-    add the reconstruction to phi_k and to every replica of phi_k in the
-    network (the identical float operation on both sides); (c) mix:
-    w_k = (1 - gamma) phi_k + gamma * sum_j A_kj phi_j read from the local
-    replicas. blocks is the combination matrix viewed as (n, n, l, l);
-    streams is the StreamField of the enclosing Monte-Carlo repetition.
-    Returns (per-agent message bits, per-agent ||chi||^2).
+    add the reconstruction to phi_k and, in audit mode, to every replica of
+    phi_k in the network (the identical float operation on both sides);
+    (c) mix: w_k = (1 - gamma) phi_k + gamma * sum_j A_kj phi_j. blocks is
+    the combination matrix viewed as (n, n, l, l); run passes instead each
+    agent's neighbor blocks (n, d_max, l, l) with their agent indices in its
+    plan. streams is the StreamField of the enclosing Monte-Carlo
+    repetition. Returns (per-agent message bits, per-agent ||chi||^2).
     """
-    n, l = state.n, state.l
-    if neighbor_mask is None:
-        neighbor_mask = np.ones((n, n))
-    if _arrays is None:
-        _arrays = _model_arrays(models)
+    n = state.n
+    if _plan is None:
+        _plan = _Plan(_model_arrays(models), _shared_batch_spec(specs),
+                      np.broadcast_to(np.arange(n), (n, n)))
 
-    psi = _draw_psi(state.w, _arrays, mu, streams, iteration)
+    psi = _draw_psi(state.w, _plan.arrays, mu, streams, iteration)
     chi = psi - state.phi
-    bits, delta = _quantize_all(specs, chi, streams, iteration)
+    bits, delta = _quantize_all(specs, _plan.shared, chi, streams, iteration)
 
     state.phi += delta
-    state.copies += neighbor_mask[:, :, None] * delta[None, :, :]
-    if debug:
-        state.check_consistency(neighbor_mask)
+    if state.copies is None:
+        heard = state.phi[_plan.nb_index]
+    else:
+        if neighbor_mask is None:
+            neighbor_mask = np.ones((n, n))
+        state.copies += neighbor_mask[:, :, None] * delta[None, :, :]
+        if debug:
+            state.check_consistency(neighbor_mask)
+        heard = state.copies[np.arange(n)[:, None], _plan.nb_index]
 
-    mixed = np.einsum("kjst,kjt->ks", blocks, state.copies)
+    mixed = np.einsum("kmst,kmt->ks", blocks, heard)
     state.w = (1.0 - gamma) * state.phi + gamma * mixed
 
     if trace is not None:
@@ -253,8 +280,28 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
     return bits, np.einsum("kl,kl->k", chi, chi)
 
 
-def _block_view(a, n, l):
-    return np.ascontiguousarray(a.reshape(n, l, n, l).transpose(0, 2, 1, 3))
+def _neighbor_blocks(comb: CombinationMatrix, n, l):
+    """Each agent's neighbors in ascending order as an (n, d_max) index,
+    padded at the end with the agent itself, and the matching blocks of A as
+    (n, d_max, l, l), zero at the padding. A factored A = W kron I_l gives
+    the blocks W[k, j] I_l, the same numbers np.kron computes."""
+    nbhd = [sorted(nb) for nb in comb.topology.neighborhoods]
+    d_max = max(len(nb) for nb in nbhd)
+    index = np.array([nb + [k] * (d_max - len(nb)) for k, nb in enumerate(nbhd)])
+    real = np.arange(d_max) < np.array([len(nb) for nb in nbhd])[:, None]
+    rows = np.arange(n)[:, None]
+    if comb.factored:
+        weights = np.where(real, comb.matrix[rows, index], 0.0)
+        return index, weights[:, :, None, None] * np.eye(l)
+    blocks = comb.matrix.reshape(n, l, n, l).transpose(0, 2, 1, 3)[rows, index]
+    return index, np.where(real[:, :, None, None], blocks, 0.0)
+
+
+def _neighbor_mask(topology):
+    mask = np.zeros((topology.n, topology.n))
+    for k, nb in enumerate(topology.neighborhoods):
+        mask[k, list(nb)] = 1.0
+    return mask
 
 
 def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix,
@@ -264,7 +311,10 @@ def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix
     Starts every repetition from w = phi = 0, draws gradients and quantizer
     randomness from counter-based streams keyed by (repetition, iteration,
     agent), and averages MSD, message bits, and innovation energy across
-    repetitions. MSD(i) = (1/N) sum_k ||w_opt_k - w_k,i||^2.
+    repetitions. MSD(i) = (1/N) sum_k ||w_opt_k - w_k,i||^2. Each round
+    mixes only the neighbor blocks of A. debug=True is the audit mode: every
+    agent keeps replicas of its neighbors' states, mixes from them, and they
+    are checked against the owners' states every 100 iterations.
     """
     n = len(models)
     l = models[0].dim
@@ -281,12 +331,9 @@ def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix
     w_star = np.concatenate([m.w_star for m in models])
     w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
 
-    top = comb.topology
-    neighbor_mask = np.zeros((n, n))
-    for k in range(n):
-        for j in top.neighborhoods[k]:
-            neighbor_mask[k, j] = 1.0
-    blocks = _block_view(comb.a, n, l)
+    nb_index, nb_blocks = _neighbor_blocks(comb, n, l)
+    plan = _Plan(_model_arrays(models), _shared_batch_spec(specs), nb_index)
+    neighbor_mask = _neighbor_mask(comb.topology) if debug else None
 
     t_iters = config.iterations
     msd_acc = np.zeros(t_iters + 1)
@@ -296,15 +343,14 @@ def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix
     diverged_at = None
     runs_done = 0
 
-    arrays = _model_arrays(models)
     for rep in range(config.runs):
         streams = StreamField(config.seed, rep)
-        state = NetworkState(n, l)
+        state = NetworkState(n, l, replicas=debug)
         msd_acc[0] += np.sum((state.w - w_opt) ** 2) / n
         for i in range(t_iters):
             bits, chi_sq = step(state, models, specs, config.mu, config.gamma,
-                                blocks, streams, i, neighbor_mask,
-                                debug=debug and i % 100 == 0, _arrays=arrays)
+                                nb_blocks, streams, i, neighbor_mask,
+                                debug=debug and i % 100 == 0, _plan=plan)
             bits_acc[i] += bits
             chi_acc[i] += chi_sq
             dev = np.sum((state.w - w_opt) ** 2) / n
@@ -362,6 +408,7 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
     runs_done = 0
 
     arrays = _model_arrays(models)
+    shared = _shared_batch_spec(specs)
     for rep in range(config.runs):
         streams = StreamField(config.seed, rep)
         w = np.zeros((n, l))
@@ -370,7 +417,7 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
         for i in range(t_iters):
             psi = _draw_psi(w, arrays, config.mu, streams, i)
             chi = psi - phi
-            bits, delta = _quantize_all(specs, chi, streams, i)
+            bits, delta = _quantize_all(specs, shared, chi, streams, i)
             phi = phi + delta
             w = (1.0 - config.gamma) * phi + config.gamma * (a_scalar @ phi)
             bits_acc[i] += bits

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from . import codec
@@ -30,6 +28,7 @@ __all__ = [
     "QuantizedMessage",
     "SpecError",
     "DegenerateCell",
+    "IndexRange",
     "SchemeMismatch",
     "identity",
     "uniform",
@@ -52,6 +51,11 @@ __all__ = [
 ]
 
 KINDS = ("identity", "uniform", "anq", "randc", "gossip", "sparsifier", "qsgd")
+# schemes whose per-row work is pure elementwise arithmetic (quantize_batch)
+BATCH_KINDS = ("identity", "uniform", "anq")
+# level indices stay below this magnitude, where float64 holds every integer
+# and index_bit_lengths is exact
+MAX_INDEX = 2**53
 
 
 class SpecError(ValueError):
@@ -60,6 +64,11 @@ class SpecError(ValueError):
 
 class DegenerateCell(ValueError):
     """Randomized rounding hit a zero-width quantization cell."""
+
+
+class IndexRange(ValueError):
+    """A level index would reach MAX_INDEX in magnitude (a cell far too fine
+    for the input), beyond exact index and bit-cost arithmetic."""
 
 
 class SchemeMismatch(ValueError):
@@ -239,18 +248,12 @@ def randomized_round(x_j, g, h, rng) -> int:
     return m + (rng.random() < p_up)
 
 
-@lru_cache(maxsize=None)
-def _asinh(omega):
-    # log(omega + sqrt(1 + omega^2)) without cancellation for small omega
-    return math.asinh(omega)
-
-
 def compander_forward(t, omega, eta):
     """Logarithmic compression map; linear t/(2 eta) in the omega -> 0 limit."""
     t = np.asarray(t, dtype=float)
     if omega == 0.0:
         return t / (2.0 * eta)
-    return np.sign(t) * np.log1p((omega / eta) * np.abs(t)) / (2.0 * _asinh(omega))
+    return np.sign(t) * np.log1p((omega / eta) * np.abs(t)) / (2.0 * math.asinh(omega))
 
 
 def compander_inverse(t, omega, eta):
@@ -258,12 +261,22 @@ def compander_inverse(t, omega, eta):
     t = np.asarray(t, dtype=float)
     if omega == 0.0:
         return 2.0 * eta * t
-    return np.sign(t) * (eta / omega) * np.expm1(2.0 * np.abs(t) * _asinh(omega))
+    return np.sign(t) * (eta / omega) * np.expm1(2.0 * np.abs(t) * math.asinh(omega))
+
+
+def _floor_index(t):
+    """floor(t) as int64 level indices; raises IndexRange before the cast
+    when floor(t) or floor(t) + 1 would reach MAX_INDEX in magnitude."""
+    m = np.floor(t)
+    if not np.all((m > -MAX_INDEX) & (m < MAX_INDEX - 1)):
+        worst = np.max(np.abs(m))
+        raise IndexRange(f"level index {worst:.4g} out of range (|n| < 2**53)")
+    return m.astype(np.int64)
 
 
 def _round_indices(x, y_of, g_of, u):
     """Vectorized two-point rounding; u are uniform draws shaped like x."""
-    m = np.floor(g_of(x)).astype(np.int64)
+    m = _floor_index(g_of(x))
     y0 = y_of(m)
     width = y_of(m + 1) - y0
     if np.any(width <= 0):
@@ -377,7 +390,7 @@ def quantize_batch(spec: QuantizerSpec, xs, us=None):
     k = spec.kind
     if k == "identity":
         return np.full(n, float(L * spec.b_hp)), xs.copy()
-    if k not in ("uniform", "anq"):
+    if k not in BATCH_KINDS:
         raise SchemeMismatch(f"no batch path for scheme {k!r}")
     us = np.asarray(us, dtype=float)
     if us.shape != xs.shape:
@@ -460,7 +473,7 @@ def sample_errors(spec: QuantizerSpec, x, rng, draws: int) -> np.ndarray:
             g_of = lambda t: compander_forward(t, w, e)
             y_of = lambda m: compander_inverse(m, w, e)
             inv = lambda n: compander_inverse(n, w, e)
-        m = np.floor(g_of(x)).astype(np.int64)
+        m = _floor_index(g_of(x))
         y0 = y_of(m)
         width = y_of(m + 1) - y0
         if np.any(width <= 0):

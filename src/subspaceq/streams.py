@@ -27,18 +27,38 @@ __all__ = ["GRADIENT", "QUANTIZE", "StreamField", "setup_rng"]
 
 
 class StreamField:
-    """Lattice of independent generators for one Monte-Carlo run."""
+    """Lattice of independent generators for one Monte-Carlo run.
+
+    One Philox generator serves every cell: stream() resets its counter to
+    the cell's coordinates and empties its buffers, which reproduces exactly
+    the draws of a fresh ``Generator(Philox(key, counter=[0, purpose, agent,
+    iteration]))`` at a fraction of the construction cost. The returned
+    generator is therefore valid only until the next stream() call on the
+    same field; draw from it at once and do not keep it.
+    """
 
     def __init__(self, master_seed: int, run: int = 0):
         ss = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_RUN, run))
         self._key = ss.generate_state(2, np.uint64)
         self.master_seed = master_seed
         self.run = run
+        self._bits = np.random.Philox(key=self._key)
+        self._generator = np.random.Generator(self._bits)
+        # low counter word is left free-running; the others pin the cell
+        self._counter = np.zeros(4, np.uint64)
+        self._fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def stream(self, iteration: int, agent: int, purpose: int) -> np.random.Generator:
-        # low counter word is left free-running; the others pin the cell
-        bg = np.random.Philox(key=self._key, counter=[0, purpose, agent, iteration])
-        return np.random.Generator(bg)
+        self._counter[1:] = purpose, agent, iteration
+        self._bits.state = self._fresh
+        return self._generator
 
 
 def setup_rng(master_seed: int, label: int = 0) -> np.random.Generator:

@@ -256,3 +256,30 @@ def test_sweep_csv_roundtrip(tmp_path):
     assert data.shape == (2, 5)
     assert data[0, 4] == 0 and data[1, 4] == 1
     assert np.isinf(data[1, 2]) and np.isnan(data[1, 1])
+
+
+@pytest.mark.parametrize("n, l, conn, seed", [(7, 3, 0.5, 2), (12, 5, 0.3, 8)])
+def test_factored_consensus_matches_dense_general_path(n, l, conn, seed):
+    top = graphs.build_topology(n, conn, seed=seed)
+    basis = graphs.subspace_consensus(n, l)
+    comb = graphs.build_combination(top, basis, mode="consensus-metropolis")
+    assert comb.factored and comb.matrix.shape == (n, n)
+    kron = np.kron(graphs.metropolis_weights(top), np.eye(l))
+    assert np.array_equal(comb.a, kron)
+    assert comb.a is not comb.a          # built on each read, never cached
+
+    dense = CombinationMatrix(kron, top, comb.block_dims)
+    same, same_basis = graphs.reduced_problem(dense, basis)
+    assert same is kron and same_basis is basis
+    w, scalar = graphs.reduced_problem(comb, basis)
+    assert w is comb.matrix and scalar.u.shape == (n, 1)
+    got = graphs.validate_combination(w, top, scalar)
+    ref = graphs.validate_combination(kron, top, basis)
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert abs(got[key] - ref[key]) <= 1e-12, key
+
+    fast = analysis.spectral_report(comb, basis)
+    slow = analysis.spectral_report(dense, basis)
+    for key, value in vars(slow).items():
+        assert abs(getattr(fast, key) - value) <= 1e-12, key

@@ -187,6 +187,21 @@ def test_verify_consensus_metropolis_passes(tmp_path, capsys):
     assert "rho_j=" in outtext
 
 
+def test_verify_never_builds_the_dense_consensus_matrix(tmp_path, capsys,
+                                                        monkeypatch):
+    def dense_read(self):
+        raise AssertionError("the dense combination matrix was built")
+
+    monkeypatch.setattr(graphs.CombinationMatrix, "a", property(dense_read))
+    extra_edit = {"connectivity = 1.0":
+                  "connectivity = 0.6\ncombination = consensus-metropolis"}
+    path = base_config(tmp_path, **extra_edit)
+    assert cli.main(["verify", "--config", path]) == 0
+    outtext = capsys.readouterr().out
+    assert "PASS sparsity pattern" in outtext
+    assert "PASS complement contraction" in outtext
+
+
 def test_verify_identity_quantizer_prints_clipped_bound(tmp_path, capsys):
     path = base_config(tmp_path,
                        **{"quantizer = anq:omega=0.25,eta=auto":

@@ -217,7 +217,7 @@ def test_replica_consistency_and_desync_detection():
     for k in range(n):
         for j in top.neighborhoods[k]:
             mask[k, j] = 1.0
-    state = NetworkState(n, l)
+    state = NetworkState(n, l, replicas=True)
     streams = StreamField(19, 0)
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
     specs = cfg.specs_for(n)
@@ -229,6 +229,104 @@ def test_replica_consistency_and_desync_detection():
     state.copies[k, j, 0] += 1e-9
     with pytest.raises(learning.StateDesync):
         state.check_consistency(mask)
+
+
+def _dense_combine(comb, phi):
+    # every agent mixes the replicas it keeps of its neighbors, zeros elsewhere
+    n = comb.topology.n
+    l = phi.shape[1]
+    blocks = np.ascontiguousarray(
+        comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3))
+    copies = learning._neighbor_mask(comb.topology)[:, :, None] * phi[None]
+    return np.einsum("kjst,kjt->ks", blocks, copies)
+
+
+@pytest.mark.parametrize("mode", ["consensus-metropolis", "subspace-lsq"])
+def test_neighbor_combine_equals_dense_einsum_bitwise(mode):
+    # a star with a tail: degrees 2 to 5, so most rows need padding
+    n, l = 7, 3
+    top = graphs.build_topology(n, [(1, 2), (1, 3), (1, 4), (1, 5), (5, 6),
+                                    (6, 7), (2, 3)])
+    if mode == "consensus-metropolis":
+        basis = graphs.subspace_consensus(n, l)
+    else:
+        top = graphs.build_topology(n, 0.5, seed=2)   # degrees 3 to 6
+        basis = graphs.subspace_smooth(top, 2, l, weight=0.1)
+    comb = graphs.build_combination(top, basis, mode=mode)
+    index, blocks = learning._neighbor_blocks(comb, n, l)
+    degrees = [top.degree(k) for k in range(n)]
+    assert min(degrees) < index.shape[1] == max(degrees)
+    for k in range(n):
+        assert list(index[k, :degrees[k]]) == sorted(top.neighborhoods[k])
+        assert np.all(index[k, degrees[k]:] == k)
+        assert np.all(blocks[k, degrees[k]:] == 0.0)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        phi = rng.standard_normal((n, l)) * 10.0 ** rng.uniform(-6, 3)
+        got = np.einsum("kmst,kmt->ks", blocks, phi[index])
+        assert np.array_equal(got, _dense_combine(comb, phi))
+
+
+def test_run_keeps_replicas_only_in_audit_mode(monkeypatch):
+    n, l = 5, 2
+    top, basis, comb = make_network(n, l, connectivity=0.6, seed=4,
+                                    mode="consensus-metropolis")
+    models = make_models(n, l)
+    cfg = RunConfig(mu=0.02, gamma=0.8, iterations=120, runs=1,
+                    quantizer=quantizers.uniform(0.05, l), seed=6)
+    seen = []
+    real_step = learning.step
+
+    def spy(state, *args, **kwargs):
+        seen.append(state.copies is not None)
+        return real_step(state, *args, **kwargs)
+
+    monkeypatch.setattr(learning, "step", spy)
+    plain = learning.run(cfg, models, basis, comb)
+    assert seen and not any(seen)
+    seen.clear()
+    audited = learning.run(cfg, models, basis, comb, debug=True)
+    assert seen and all(seen)
+    assert np.array_equal(plain.msd, audited.msd)
+    assert np.array_equal(plain.bits, audited.bits)
+    with pytest.raises(ValueError, match="replicas"):
+        NetworkState(n, l).check_consistency(np.ones((n, n)))
+
+
+def test_equal_specs_take_the_batched_path(monkeypatch):
+    # one quantize_batch call per round whenever all specs are equal, even
+    # as distinct objects; none when one agent differs
+    n, l, iters, runs = 5, 2, 30, 2
+    top, basis, comb = make_network(n, l, mode="consensus-metropolis")
+    models = make_models(n, l)
+    calls = []
+    real_batch = quantizers.quantize_batch
+
+    def counting(*args):
+        calls.append(args[0])
+        return real_batch(*args)
+
+    monkeypatch.setattr(quantizers, "quantize_batch", counting)
+    copies = [quantizers.anq(0.25, 0.01, l) for _ in range(n)]
+    cfg = RunConfig(mu=0.02, gamma=0.8, iterations=iters, runs=runs,
+                    quantizer=copies, seed=4)
+    by_list = learning.run(cfg, models, basis, comb)
+    assert len(calls) == iters * runs
+    calls.clear()
+    learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
+    assert len(calls) == iters * runs
+    calls.clear()
+    shared = learning.run(RunConfig(mu=0.02, gamma=0.8, iterations=iters,
+                                    runs=runs, quantizer=copies[0], seed=4),
+                          models, basis, comb)
+    assert len(calls) == iters * runs
+    assert np.array_equal(by_list.msd, shared.msd)
+    assert np.array_equal(by_list.bits, shared.bits)
+    calls.clear()
+    mixed = copies[:-1] + [quantizers.anq(0.25, 0.02, l)]
+    learning.run(RunConfig(mu=0.02, gamma=0.8, iterations=iters, runs=runs,
+                           quantizer=mixed, seed=4), models, basis, comb)
+    assert calls == []
 
 
 def test_innovation_energy_scales_with_mu_squared():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,3 +349,30 @@ def test_batch_rejects_unsupported_schemes_and_shapes():
         qz.quantize_batch(qz.uniform(0.1, 3), np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(qz.SpecError):
         qz.quantize_batch(qz.uniform(0.1, 3), np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_index_beyond_exact_range_raises_named_error():
+    # a cell far too fine for the input: the level index would pass 2**53,
+    # where index_bit_lengths stops being exact, long before the int64 cast
+    spec = qz.uniform(1e-8, 2)
+    xs = np.array([[1e12, -3.0], [0.5, 0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qz.IndexRange):
+            qz.quantize(spec, xs[0], stream())
+        with pytest.raises(qz.IndexRange):
+            qz.quantize_batch(spec, xs, np.full(xs.shape, 0.5))
+        with pytest.raises(qz.IndexRange):
+            qz.sample_errors(spec, xs[0], stream(), 4)
+        # the last representable cell still quantizes exactly
+        edge = qz.uniform(1.0, 1)
+        top = float(qz.MAX_INDEX - 2)
+        msg = qz.quantize(edge, [top], stream())
+        assert msg.indices[0] == qz.MAX_INDEX - 2
+        assert qz.index_bit_lengths(msg.indices)[0] == 53
+        with pytest.raises(qz.IndexRange):
+            qz.quantize(edge, [top + 1.0], stream())
+        low = qz.quantize(edge, [-top - 1.0], stream())
+        assert low.indices[0] == -(qz.MAX_INDEX - 1)
+        with pytest.raises(qz.IndexRange):
+            qz.quantize(edge, [-top - 2.0], stream())
