@@ -1,15 +1,17 @@
-"""Frozen SHA-256 digests of small simulations.
+"""Frozen SHA-256 digests of small simulations and of quantizer outputs.
 
 Every drawn bit and every floating-point operation of the recursion feeds
 msd, bits and chi_sq, so a refactor that changes a single draw or a
 summation order changes a digest here. The networks stay at n <= 8 so that
-no BLAS call is large enough to use more than one thread.
+no BLAS call is large enough to use more than one thread. A second table
+freezes what the quantizers return on their own: the quantize payload with
+its reconstruction, and sample_errors, for every scheme.
 
 A deliberate change of drawn bits regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+and says why in CHANGES.md. It prints both tables.
 """
 
 import hashlib
@@ -249,6 +251,102 @@ GOLDEN = {
 }
 
 
+# fixed quantizer inputs: a generic vector and the all-zero vector (qsgd's
+# zero-norm message)
+INPUTS = {"vec": np.array([0.37, -1.21, 0.004]), "zero": np.zeros(L)}
+MESSAGE_FIELDS = ("indices", "values", "coords", "levels", "signs", "norm",
+                  "bit_cost")
+
+
+def _payload_digest(spec, x, seed, calls=20) -> str:
+    """Every field of `calls` quantize messages drawn from one generator,
+    followed by each message's reconstruction."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(calls):
+        msg = quantizers.quantize(spec, x, rng)
+        for field in MESSAGE_FIELDS:
+            value = getattr(msg, field)
+            h.update(field.encode())
+            h.update(b"-" if value is None else _digest(np.asarray(value)).encode())
+        h.update(_digest(quantizers.reconstruct(spec, msg)).encode())
+    return h.hexdigest()
+
+
+def _errors_digest(spec, x, seed, draws=40) -> str:
+    return _digest(quantizers.sample_errors(spec, x, np.random.default_rng(seed),
+                                            draws))
+
+
+QUANTIZER_CASES = {}
+for _kind, _specs in PAIRS.items():
+    for _which, _spec in zip(("first", "second"), _specs):
+        for _name, _x in INPUTS.items():
+            QUANTIZER_CASES[f"quantize-{_kind}-{_which}-{_name}"] = (
+                lambda s=_spec, x=_x: _payload_digest(s, x, seed=21))
+            QUANTIZER_CASES[f"errors-{_kind}-{_which}-{_name}"] = (
+                lambda s=_spec, x=_x: _errors_digest(s, x, seed=23))
+
+QUANTIZER_GOLDEN = {
+    'errors-anq-first-vec': 'fd43a7739778b14751ae9d88dff0e4f3f3580883588ae80c80e50950a7febe36',
+    'errors-anq-first-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-anq-second-vec': '30dcc9fa09e7aec66ac534914c48fb20a362cf6da67cf04697d4823f9324f333',
+    'errors-anq-second-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-gossip-first-vec': 'ce30ea801088309b6f2f11850b579899c844c517fb808ab73871b0c9b3b67c88',
+    'errors-gossip-first-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-gossip-second-vec': 'e652845dbb28c2891356bb850896da4732b1461564c874d5a6f58524ae8c271d',
+    'errors-gossip-second-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-identity-first-vec': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-identity-first-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-identity-second-vec': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-identity-second-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-qsgd-first-vec': '61b72d47a2be75d3863b8636f3b6a6e4845770fddaf1907867cc9cd6be4a2223',
+    'errors-qsgd-first-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-qsgd-second-vec': '32009338f975b7c1a128d14a6d835c660fda47203b04e4260207be52e4131d6b',
+    'errors-qsgd-second-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-randc-first-vec': '8f6a1827aa3f899de9e9d6f83b08945ec1d716b6e5c5dd1edc597ad26522672e',
+    'errors-randc-first-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-randc-second-vec': 'fb23812693bb773a9e451b8aa614ad53e4dd36d5aee1eaf5b5b8d1f22a25be44',
+    'errors-randc-second-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-sparsifier-first-vec': '40c93db797832b2e4a98c99e2a0391f35e17c413a3889cd234d0408739016ca5',
+    'errors-sparsifier-first-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-sparsifier-second-vec': '93b8b6d8971400e2ec6b082f9a4312d6a5593d3bd213912a368ea2c55afcdacb',
+    'errors-sparsifier-second-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-uniform-first-vec': '49a735f843150847e1ac52fb2ed98e05d122dcc706bf4d1a293f326381af5263',
+    'errors-uniform-first-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'errors-uniform-second-vec': '087bc925a0fa25f5140dd6f856564046da74f3e713b723b3cbf25a03d264219a',
+    'errors-uniform-second-zero': 'a76dde217b4dd783bc4af3e0a52a73bd6c07f87900bb09bf79b384c3c4fc9cd9',
+    'quantize-anq-first-vec': '82e70f9dee2b03417f4122d3d475553f5982aabb77e2355ad256eb413d08db49',
+    'quantize-anq-first-zero': 'ca32f1333c5db7893a56c8fb1d6d6edc8ea7c4b4b5de49606715b8f04f2541ec',
+    'quantize-anq-second-vec': '5ce8e180d5ef317dd40001ada8faa92ba8e8db9e93d2bb69627780e953d00017',
+    'quantize-anq-second-zero': 'ca32f1333c5db7893a56c8fb1d6d6edc8ea7c4b4b5de49606715b8f04f2541ec',
+    'quantize-gossip-first-vec': '80f01e4904c1a4f4577c4b34914e611f6acffc3e30925f0e887b73aa59c856f8',
+    'quantize-gossip-first-zero': 'e8121e9990e9f05445c0c6d4b3bf44e0d5eef9e6f3e22407fa24f014a66a7298',
+    'quantize-gossip-second-vec': '8e64064f133304cef971e86680fdd84c71c14d4922caed971623d96fe7f4a114',
+    'quantize-gossip-second-zero': '1226daeba24289cd65efc5b74efa8d5100bad5f201da84ec96e61164dce828f7',
+    'quantize-identity-first-vec': 'aa6b346cad94303723b97217c92d57898b581c3dc95dddf0f2af3f4b9c698c2b',
+    'quantize-identity-first-zero': 'ed082f316e625bd0de72f34a769b7f76040cb54cc2c60fe08fccfc6164cee721',
+    'quantize-identity-second-vec': '478227678c4723275671baae4df820202f8058dc50775523d26b300dbc67952a',
+    'quantize-identity-second-zero': '5b6fb2a3dc620e65b5d7733b2503d73987b54a9679c8c26b99baddae81031e1e',
+    'quantize-qsgd-first-vec': 'afe251a670be073be21b0e35b78fbdc09f27e2a6d14b3b7acb7775aa75b3158b',
+    'quantize-qsgd-first-zero': '5dc27808968a152169cd6b78608b6adbec7398f50376af8cb9d8f862550d9539',
+    'quantize-qsgd-second-vec': 'b22d5a6826ead5d93dc02d382d6b64fb5741b3338d2608bd8e98a9716c6e5bdd',
+    'quantize-qsgd-second-zero': '5dc27808968a152169cd6b78608b6adbec7398f50376af8cb9d8f862550d9539',
+    'quantize-randc-first-vec': 'e65c99d4c42dcebd767e8a656024f112a8e50acde8feb0998fb0ea2044e368b2',
+    'quantize-randc-first-zero': '293a56db0abe358825fc55a9fde83271f25ad76329313228c7cd429f279798f6',
+    'quantize-randc-second-vec': '261cdf88c94347233404c1754e0e7db8f547535246df35cdd0da41f7f4fad7ed',
+    'quantize-randc-second-zero': 'c6ad2e888e0d2b58e2a4c8cce32a32aec7b54e2beb0752f752cde845da5d3803',
+    'quantize-sparsifier-first-vec': 'e2b642ac3725d5c275aebaac2d51b24a80c5997b76f042eda04cb4fa53a9c696',
+    'quantize-sparsifier-first-zero': '2e12ce0e18b7b69adbc2b8eaf413e21d75e7e63d6f7d8ad917f32db4d5033ea9',
+    'quantize-sparsifier-second-vec': '1da1a7e40fe9410989bc2caf7ba3613aebdf888c48888dc06eba27545fad2dd7',
+    'quantize-sparsifier-second-zero': '315636c4e5ad3c1073b85e83db239502c220fba37f9fac7e8fa3cbb68581a17a',
+    'quantize-uniform-first-vec': 'ae5831b6c4d7083c3f8c8291c22bf5798147a9aa23357edacf038d526df992d8',
+    'quantize-uniform-first-zero': 'ca32f1333c5db7893a56c8fb1d6d6edc8ea7c4b4b5de49606715b8f04f2541ec',
+    'quantize-uniform-second-vec': 'd1fe2d98a133ce86f26a53c0a9831cbb892d74f1f614fb758c4597cfcaec7cea',
+    'quantize-uniform-second-zero': 'ca32f1333c5db7893a56c8fb1d6d6edc8ea7c4b4b5de49606715b8f04f2541ec',
+}
+
+
 def test_every_case_has_a_digest():
     assert set(GOLDEN) == set(CASES)
 
@@ -265,6 +363,15 @@ def test_golden_digest(name):
     assert digests(CASES[name]()) == GOLDEN[name]
 
 
+def test_every_quantizer_case_has_a_digest():
+    assert set(QUANTIZER_GOLDEN) == set(QUANTIZER_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(QUANTIZER_CASES))
+def test_quantizer_digest(name):
+    assert QUANTIZER_CASES[name]() == QUANTIZER_GOLDEN[name]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for _name in sorted(CASES):
@@ -272,4 +379,9 @@ if __name__ == "__main__":
         for _key, _value in digests(CASES[_name]()).items():
             print(f"        {_key!r}: {_value!r},")
         print("    },")
+    print("}")
+    print()
+    print("QUANTIZER_GOLDEN = {")
+    for _name in sorted(QUANTIZER_CASES):
+        print(f"    {_name!r}: {QUANTIZER_CASES[_name]()!r},")
     print("}")
