@@ -227,19 +227,16 @@ def build_setup(exp: Experiment):
     """
     if exp.n == 1:
         top = basis = comb = None
-    elif exp.topology_file is not None:
-        top = graphs.load_topology(exp.topology_file, exp.n)
     else:
-        top = graphs.build_topology(exp.n, exp.connectivity, seed=exp.seed)
-
-    if exp.n == 1:
-        pass
-    elif exp.combination == "consensus-metropolis":
-        basis = graphs.subspace_consensus(exp.n, exp.l)
-        comb = graphs.build_combination(top, basis, mode=exp.combination)
-    else:
-        basis = graphs.subspace_smooth(top, exp.p_vectors, exp.l,
-                                       weight=exp.lap_weight)
+        if exp.topology_file is not None:
+            top = graphs.load_topology(exp.topology_file, exp.n)
+        else:
+            top = graphs.build_topology(exp.n, exp.connectivity, seed=exp.seed)
+        if exp.combination == "consensus-metropolis":
+            basis = graphs.subspace_consensus(exp.n, exp.l)
+        else:
+            basis = graphs.subspace_smooth(top, exp.p_vectors, exp.l,
+                                           weight=exp.lap_weight)
         comb = graphs.build_combination(top, basis, mode=exp.combination)
 
     var_rng = setup_rng(exp.seed, _LABEL_VARIANCES)
@@ -287,11 +284,7 @@ def cmd_run(exp: Experiment, workers=1) -> int:
                         runs=exp.runs, quantizer=spec, seed=exp.seed)
         jobs.append((cfg, models, basis, comb))
 
-    try:
-        results = _map_jobs(_run_job, jobs, workers)
-    except learning.NonFinite as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+    results = _map_jobs(_run_job, jobs, workers)
 
     files = []
     for mu, res in zip(exp.mus, results):
@@ -314,9 +307,9 @@ def cmd_run(exp: Experiment, workers=1) -> int:
                      "per_agent"):
             fh.write(f"{name} = {getattr(exp, name)}\n")
         fh.write(f"mus = {', '.join(f'{m:g}' for m in exp.mus)}\n")
-        for mu in exp.mus:
-            spec = resolve_quantizer(exp.quantizer_text, mu, exp.l, exp.b_hp)
-            fh.write(f"quantizer[mu={mu:g}] = {quantizers.spec_string(spec)}\n")
+        for cfg, *_ in jobs:
+            fh.write(f"quantizer[mu={cfg.mu:g}] = "
+                     f"{quantizers.spec_string(cfg.quantizer)}\n")
         fh.write("sigma_u_sq = " + ", ".join(f"{m.sigma_u_sq:.17g}" for m in models) + "\n")
         fh.write("sigma_v_sq = " + ", ".join(f"{m.sigma_v_sq:.17g}" for m in models) + "\n")
         fh.write("files = " + ", ".join(files) + "\n")

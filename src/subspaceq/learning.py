@@ -304,6 +304,74 @@ def _neighbor_mask(topology):
     return mask
 
 
+def _monte_carlo(config: RunConfig, models, prepare, replicas=False) -> RunResult:
+    """The Monte-Carlo loop that run and run_diffusion share.
+
+    Checks that all agents share one block dimension l and that every
+    quantizer spec has dim l, then calls prepare(n, l, specs). It returns
+    the deviation reference w_opt (n, l) and the round function
+    round_(state, streams, i), which advances the NetworkState by round i in
+    place and returns (per-agent message bits, per-agent ||chi||^2). Every
+    repetition starts from w = phi = 0 with its own StreamField.
+
+    Round i diverges when the deviation leaves the finite range or |w| passes
+    DIVERGENCE_LIMIT after it, or when it raises quantizers.IndexRange (a
+    level index beyond exact arithmetic); either way diverged_at = i + 1.
+    on_divergence="raise" raises NonFinite(i + 1). "flag" stops the
+    Monte-Carlo loop and averages what the repetitions recorded, with msd
+    inf and bits and chi_sq NaN past the last completed round.
+    """
+    n = len(models)
+    l = models[0].dim
+    if any(m.dim != l for m in models):
+        raise ValueError("all agents must share one block dimension")
+    specs = config.specs_for(n)
+    for k, s in enumerate(specs):
+        if s.dim != l:
+            raise ValueError(f"quantizer {k} has dim {s.dim}, agents have {l}")
+    w_opt, round_ = prepare(n, l, specs)
+
+    t_iters = config.iterations
+    msd_acc = np.zeros(t_iters + 1)
+    bits_acc = np.zeros((t_iters, n))
+    chi_acc = np.zeros((t_iters, n))
+    diverged_at = None
+
+    for rep in range(config.runs):
+        streams = StreamField(config.seed, rep)
+        state = NetworkState(n, l, replicas=replicas)
+        msd_acc[0] += np.sum((state.w - w_opt) ** 2) / n
+        for i in range(t_iters):
+            try:
+                bits, chi_sq = round_(state, streams, i)
+            except quantizers.IndexRange as exc:
+                diverged_at, completed, cause = i + 1, i, exc
+                break
+            bits_acc[i] += bits
+            chi_acc[i] += chi_sq
+            dev = np.sum((state.w - w_opt) ** 2) / n
+            msd_acc[i + 1] += dev
+            if not np.isfinite(dev) or np.max(np.abs(state.w)) > DIVERGENCE_LIMIT:
+                diverged_at, completed, cause = i + 1, i + 1, None
+                break
+        if diverged_at is not None:
+            if config.on_divergence == "raise":
+                raise NonFinite(diverged_at) from cause
+            break
+
+    runs_done = rep + 1
+    msd = msd_acc / runs_done
+    bits_avg = bits_acc / runs_done
+    chi_avg = chi_acc / runs_done
+    if diverged_at is not None:
+        msd[completed + 1:] = np.inf
+        bits_avg[completed:] = np.nan
+        chi_avg[completed:] = np.nan
+    return RunResult(msd=msd, bits=bits_avg, chi_sq=chi_avg, w_opt=w_opt,
+                     diverged=diverged_at is not None, diverged_at=diverged_at,
+                     runs_used=runs_done, config=config)
+
+
 def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix,
         debug=False) -> RunResult:
     """Monte-Carlo execution of the quantized subspace recursion.
@@ -316,65 +384,24 @@ def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix
     agent keeps replicas of its neighbors' states, mixes from them, and they
     are checked against the owners' states every 100 iterations.
     """
-    n = len(models)
-    l = models[0].dim
-    if any(m.dim != l for m in models):
-        raise ValueError("all agents must share one block dimension")
-    if basis.u.shape[0] != n * l:
-        raise ValueError("basis ambient dimension does not match the models")
-    specs = config.specs_for(n)
-    for k, s in enumerate(specs):
-        if s.dim != l:
-            raise ValueError(f"quantizer {k} has dim {s.dim}, agents have {l}")
+    def prepare(n, l, specs):
+        if basis.u.shape[0] != n * l:
+            raise ValueError("basis ambient dimension does not match the models")
+        covs = [m.sigma_u_sq for m in models]
+        w_star = np.concatenate([m.w_star for m in models])
+        w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
 
-    covs = [m.sigma_u_sq for m in models]
-    w_star = np.concatenate([m.w_star for m in models])
-    w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
+        nb_index, nb_blocks = _neighbor_blocks(comb, n, l)
+        plan = _Plan(_model_arrays(models), _shared_batch_spec(specs), nb_index)
+        neighbor_mask = _neighbor_mask(comb.topology) if debug else None
 
-    nb_index, nb_blocks = _neighbor_blocks(comb, n, l)
-    plan = _Plan(_model_arrays(models), _shared_batch_spec(specs), nb_index)
-    neighbor_mask = _neighbor_mask(comb.topology) if debug else None
+        def round_(state, streams, i):
+            return step(state, models, specs, config.mu, config.gamma,
+                        nb_blocks, streams, i, neighbor_mask,
+                        debug=debug and i % 100 == 0, _plan=plan)
+        return w_opt, round_
 
-    t_iters = config.iterations
-    msd_acc = np.zeros(t_iters + 1)
-    bits_acc = np.zeros((t_iters, n))
-    chi_acc = np.zeros((t_iters, n))
-    diverged = False
-    diverged_at = None
-    runs_done = 0
-
-    for rep in range(config.runs):
-        streams = StreamField(config.seed, rep)
-        state = NetworkState(n, l, replicas=debug)
-        msd_acc[0] += np.sum((state.w - w_opt) ** 2) / n
-        for i in range(t_iters):
-            bits, chi_sq = step(state, models, specs, config.mu, config.gamma,
-                                nb_blocks, streams, i, neighbor_mask,
-                                debug=debug and i % 100 == 0, _plan=plan)
-            bits_acc[i] += bits
-            chi_acc[i] += chi_sq
-            dev = np.sum((state.w - w_opt) ** 2) / n
-            msd_acc[i + 1] += dev
-            if not np.isfinite(dev) or np.max(np.abs(state.w)) > DIVERGENCE_LIMIT:
-                if config.on_divergence == "raise":
-                    raise NonFinite(i + 1)
-                diverged = True
-                diverged_at = i + 1
-                break
-        runs_done += 1
-        if diverged:
-            break
-
-    msd = msd_acc / runs_done
-    bits_avg = bits_acc / runs_done
-    chi_avg = chi_acc / runs_done
-    if diverged:
-        msd[diverged_at + 1:] = np.inf
-        bits_avg[diverged_at:] = np.nan
-        chi_avg[diverged_at:] = np.nan
-    return RunResult(msd=msd, bits=bits_avg, chi_sq=chi_avg, w_opt=w_opt,
-                     diverged=diverged, diverged_at=diverged_at,
-                     runs_used=runs_done, config=config)
+    return _monte_carlo(config, models, prepare, replicas=debug)
 
 
 def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
@@ -389,61 +416,27 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
     network average of the local targets, replicated at every agent.
     """
     a_scalar = np.asarray(a_scalar, dtype=float)
-    n = len(models)
-    l = models[0].dim
-    if a_scalar.shape != (n, n):
-        raise ValueError("scalar combination matrix has the wrong shape")
-    specs = config.specs_for(n)
 
-    weights = np.array([m.sigma_u_sq for m in models])
-    wbar = np.average(np.stack([m.w_star for m in models]), axis=0, weights=weights)
-    w_opt = np.tile(wbar, (n, 1))
+    def prepare(n, l, specs):
+        if a_scalar.shape != (n, n):
+            raise ValueError("scalar combination matrix has the wrong shape")
+        weights = np.array([m.sigma_u_sq for m in models])
+        wbar = np.average(np.stack([m.w_star for m in models]), axis=0,
+                          weights=weights)
+        arrays = _model_arrays(models)
+        shared = _shared_batch_spec(specs)
+        mu, gamma = config.mu, config.gamma
 
-    t_iters = config.iterations
-    msd_acc = np.zeros(t_iters + 1)
-    bits_acc = np.zeros((t_iters, n))
-    chi_acc = np.zeros((t_iters, n))
-    diverged = False
-    diverged_at = None
-    runs_done = 0
-
-    arrays = _model_arrays(models)
-    shared = _shared_batch_spec(specs)
-    for rep in range(config.runs):
-        streams = StreamField(config.seed, rep)
-        w = np.zeros((n, l))
-        phi = np.zeros((n, l))
-        msd_acc[0] += np.sum((w - w_opt) ** 2) / n
-        for i in range(t_iters):
-            psi = _draw_psi(w, arrays, config.mu, streams, i)
-            chi = psi - phi
+        def round_(state, streams, i):
+            psi = _draw_psi(state.w, arrays, mu, streams, i)
+            chi = psi - state.phi
             bits, delta = _quantize_all(specs, shared, chi, streams, i)
-            phi = phi + delta
-            w = (1.0 - config.gamma) * phi + config.gamma * (a_scalar @ phi)
-            bits_acc[i] += bits
-            chi_acc[i] += np.einsum("kl,kl->k", chi, chi)
-            dev = np.sum((w - w_opt) ** 2) / n
-            msd_acc[i + 1] += dev
-            if not np.isfinite(dev) or np.max(np.abs(w)) > DIVERGENCE_LIMIT:
-                if config.on_divergence == "raise":
-                    raise NonFinite(i + 1)
-                diverged = True
-                diverged_at = i + 1
-                break
-        runs_done += 1
-        if diverged:
-            break
+            state.phi += delta
+            state.w = (1.0 - gamma) * state.phi + gamma * (a_scalar @ state.phi)
+            return bits, np.einsum("kl,kl->k", chi, chi)
+        return np.tile(wbar, (n, 1)), round_
 
-    msd = msd_acc / runs_done
-    bits_avg = bits_acc / runs_done
-    chi_avg = chi_acc / runs_done
-    if diverged:
-        msd[diverged_at + 1:] = np.inf
-        bits_avg[diverged_at:] = np.nan
-        chi_avg[diverged_at:] = np.nan
-    return RunResult(msd=msd, bits=bits_avg, chi_sq=chi_avg, w_opt=w_opt,
-                     diverged=diverged, diverged_at=diverged_at,
-                     runs_used=runs_done, config=config)
+    return _monte_carlo(config, models, prepare)
 
 
 def save_metrics_csv(path, result: RunResult, version, seed, per_agent=False):

@@ -274,15 +274,36 @@ def _floor_index(t):
     return m.astype(np.int64)
 
 
-def _round_indices(x, y_of, g_of, u):
-    """Vectorized two-point rounding; u are uniform draws shaped like x."""
-    m = _floor_index(g_of(x))
-    y0 = y_of(m)
-    width = y_of(m + 1) - y0
+def _index_maps(spec):
+    """Forward map g and level-to-value map y of a uniform or anq spec; level
+    n stands for the value y(n), and g(x) lies in [m, m + 1) for the cell
+    [y(m), y(m + 1)) that holds x."""
+    if spec.kind == "uniform":
+        d = spec.delta
+        return (lambda t: t / d), (lambda m: d * m)
+    w, e = spec.omega, spec.eta
+    return (lambda t: compander_forward(t, w, e)), (lambda m: compander_inverse(m, w, e))
+
+
+def _round_indices(x, g, y, u):
+    """Vectorized two-point rounding of x through the maps of _index_maps;
+    u are uniform draws shaped like x, or a stack of such rows, one rounding
+    of x per row."""
+    m = _floor_index(g(x))
+    y0 = y(m)
+    width = y(m + 1) - y0
     if np.any(width <= 0):
         raise DegenerateCell("nonpositive cell width")
     p_up = np.clip((x - y0) / width, 0.0, 1.0)
     return m + (u < p_up)
+
+
+def _qsgd_levels(x, norm, s, u):
+    """qsgd's unbiased rounding of s |x| / norm onto the levels 0..s; u as
+    for _round_indices."""
+    t = s * np.abs(x) / norm
+    m = np.floor(t).astype(np.int64)
+    return m + (u < t - m)
 
 
 def index_bit_lengths(indices) -> np.ndarray:
@@ -295,8 +316,10 @@ def _ceil_log2(n: int) -> int:
     return (int(n) - 1).bit_length()
 
 
-def _variable_rate_cost(indices, dim) -> float:
-    return codec.BITS_PER_SYMBOL * float(dim + int(index_bit_lengths(indices).sum()))
+def _variable_rate_cost(indices):
+    """Codec cost of each vector of level indices along the last axis."""
+    lengths = index_bit_lengths(indices)
+    return codec.BITS_PER_SYMBOL * (lengths.shape[-1] + lengths.sum(axis=-1)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +346,8 @@ def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
         return QuantizedMessage(k, L, float(L * spec.b_hp), values=x.copy())
 
     if k in ("uniform", "anq"):
-        if k == "uniform":
-            d = spec.delta
-            n = _round_indices(x, lambda m: d * m, lambda t: t / d, rng.random(L))
-        else:
-            w, e = spec.omega, spec.eta
-            n = _round_indices(
-                x,
-                lambda m: compander_inverse(m, w, e),
-                lambda t: compander_forward(t, w, e),
-                rng.random(L),
-            )
-        return QuantizedMessage(k, L, _variable_rate_cost(n, L), indices=n)
+        n = _round_indices(x, *_index_maps(spec), rng.random(L))
+        return QuantizedMessage(k, L, float(_variable_rate_cost(n)), indices=n)
 
     if k == "randc":
         coords = rng.permutation(L)[: spec.c]
@@ -364,9 +377,7 @@ def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
             k, L, float(spec.b_hp), norm=0.0,
             signs=np.zeros(L, dtype=np.int8), levels=np.zeros(L, dtype=np.int64),
         )
-    t = s * np.abs(x) / norm
-    m = np.floor(t).astype(np.int64)
-    levels = m + (rng.random(L) < t - m)
+    levels = _qsgd_levels(x, norm, s, rng.random(L))
     signs = np.sign(x).astype(np.int8)
     return QuantizedMessage(k, L, cost, norm=norm, signs=signs, levels=levels)
 
@@ -395,21 +406,9 @@ def quantize_batch(spec: QuantizerSpec, xs, us=None):
     us = np.asarray(us, dtype=float)
     if us.shape != xs.shape:
         raise SpecError("need one uniform draw per entry")
-    if k == "uniform":
-        d = spec.delta
-        idx = _round_indices(xs, lambda m: d * m, lambda t: t / d, us)
-        recon = d * idx.astype(float)
-    else:
-        w, e = spec.omega, spec.eta
-        idx = _round_indices(
-            xs,
-            lambda m: compander_inverse(m, w, e),
-            lambda t: compander_forward(t, w, e),
-            us,
-        )
-        recon = compander_inverse(idx, w, e)
-    costs = codec.BITS_PER_SYMBOL * (L + index_bit_lengths(idx).sum(axis=1)).astype(float)
-    return costs, recon
+    g, y = _index_maps(spec)
+    idx = _round_indices(xs, g, y, us)
+    return _variable_rate_cost(idx), y(idx)
 
 
 def reconstruct(spec: QuantizerSpec, msg: QuantizedMessage) -> np.ndarray:
@@ -417,10 +416,8 @@ def reconstruct(spec: QuantizerSpec, msg: QuantizedMessage) -> np.ndarray:
     if msg.kind != spec.kind or msg.dim != spec.dim:
         raise SchemeMismatch(f"message {msg.kind}/{msg.dim} vs spec {spec.kind}/{spec.dim}")
     k = spec.kind
-    if k == "uniform":
-        return spec.delta * msg.indices.astype(float)
-    if k == "anq":
-        return compander_inverse(msg.indices, spec.omega, spec.eta)
+    if k in ("uniform", "anq"):
+        return _index_maps(spec)[1](msg.indices)
     if k == "qsgd":
         if msg.norm == 0.0:
             return np.zeros(spec.dim)
@@ -463,24 +460,8 @@ def sample_errors(spec: QuantizerSpec, x, rng, draws: int) -> np.ndarray:
     if k == "identity":
         return np.zeros((draws, L))
     if k in ("uniform", "anq"):
-        if k == "uniform":
-            d = spec.delta
-            g_of = lambda t: t / d
-            y_of = lambda m: d * m
-            inv = lambda n: d * n.astype(float)
-        else:
-            w, e = spec.omega, spec.eta
-            g_of = lambda t: compander_forward(t, w, e)
-            y_of = lambda m: compander_inverse(m, w, e)
-            inv = lambda n: compander_inverse(n, w, e)
-        m = _floor_index(g_of(x))
-        y0 = y_of(m)
-        width = y_of(m + 1) - y0
-        if np.any(width <= 0):
-            raise DegenerateCell("nonpositive cell width")
-        p_up = np.clip((x - y0) / width, 0.0, 1.0)
-        n = m + (rng.random((draws, L)) < p_up)
-        return x - inv(n)
+        g, y = _index_maps(spec)
+        return x - y(_round_indices(x, g, y, rng.random((draws, L))))
     if k == "randc":
         keys = rng.random((draws, L))
         coords = np.argpartition(keys, spec.c - 1, axis=1)[:, : spec.c]
@@ -499,9 +480,7 @@ def sample_errors(spec: QuantizerSpec, x, rng, draws: int) -> np.ndarray:
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return np.zeros((draws, L))
-    t = s * np.abs(x) / norm
-    m = np.floor(t).astype(np.int64)
-    n = m + (rng.random((draws, L)) < t - m)
+    n = _qsgd_levels(x, norm, s, rng.random((draws, L)))
     return x - norm * np.sign(x) * n / s
 
 

@@ -162,8 +162,15 @@ def test_run_single_agent_is_sgd_trace(tmp_path):
     assert data[-1, 3] == pytest.approx(32.0)  # full-precision words
 
 
-def test_run_divergence_exit_code(tmp_path, capsys):
-    path = base_config(tmp_path, iters=400, **{"mu = 0.01": "mu = 60.0"})
+# the compander arm passes the divergence guard; the fine uniform arm's level
+# indices leave the exact range (quantizers.IndexRange) first
+@pytest.mark.parametrize("quantizer", ["anq:omega=0.25,eta=auto",
+                                       "uniform:delta=1e-4"],
+                         ids=["anq", "uniform"])
+def test_run_divergence_exit_code(tmp_path, capsys, quantizer):
+    path = base_config(tmp_path, iters=400, **{
+        "mu = 0.01": "mu = 60.0",
+        "quantizer = anq:omega=0.25,eta=auto": f"quantizer = {quantizer}"})
     assert cli.main(["run", "--config", path]) == 3
     assert "divergence" in capsys.readouterr().err
 

@@ -62,18 +62,29 @@ def test_specs_for_broadcast_and_mismatch():
         cfg.specs_for(3)
 
 
-def test_run_rejects_mismatched_shapes():
+def _entry(name, top, basis, comb):
+    """run, or run_diffusion on the topology's Metropolis weights, as
+    f(config, models)."""
+    if name == "run":
+        return lambda cfg, models: learning.run(cfg, models, basis, comb)
+    weights = graphs.metropolis_weights(top)
+    return lambda cfg, models: learning.run_diffusion(cfg, models, weights)
+
+
+@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+def test_run_rejects_mismatched_shapes(entry):
     top, basis, comb = make_network(4, 2)
     models = make_models(4, 2)
+    go = _entry(entry, top, basis, comb)
     cfg = RunConfig(mu=0.01, gamma=0.9, iterations=5,
                     quantizer=quantizers.identity(3))
-    with pytest.raises(ValueError, match="dim"):
-        learning.run(cfg, models, basis, comb)
+    with pytest.raises(ValueError, match="quantizer 0 has dim 3"):
+        go(cfg, models)
     cfg = RunConfig(mu=0.01, gamma=0.9, iterations=5,
                     quantizer=quantizers.identity(2))
     bad = models[:3] + [DataModel(2.0, 0.1, np.zeros(3))]
     with pytest.raises(ValueError, match="block dimension"):
-        learning.run(cfg, bad, basis, comb)
+        go(cfg, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +410,34 @@ def test_divergence_flag_mode():
     assert res.runs_used == 1
     assert np.all(np.isinf(res.msd[res.diverged_at + 1:]))
     assert np.isfinite(res.msd[: res.diverged_at]).all()
+
+
+def _index_range_run(entry, policy):
+    """A diverging fine uniform arm whose level indices reach
+    quantizers.MAX_INDEX in round 5, before |w| passes DIVERGENCE_LIMIT."""
+    top, basis, comb = make_network(6, 3, connectivity=0.6, seed=5,
+                                    mode="consensus-metropolis")
+    cfg = RunConfig(mu=50.0, gamma=1.0, iterations=20, runs=3,
+                    quantizer=quantizers.uniform(1e-3, 3), seed=17,
+                    on_divergence=policy)
+    return _entry(entry, top, basis, comb)(cfg, make_models(6, 3))
+
+
+@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+def test_index_range_is_flagged_as_divergence(entry):
+    res = _index_range_run(entry, "flag")
+    assert res.diverged and res.diverged_at == 6 and res.runs_used == 1
+    assert np.isfinite(res.msd[:6]).all() and np.isinf(res.msd[6:]).all()
+    for series in (res.bits, res.chi_sq):
+        assert np.isfinite(series[:5]).all() and np.isnan(series[5:]).all()
+
+
+@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+def test_index_range_raises_nonfinite(entry):
+    with pytest.raises(learning.NonFinite) as exc:
+        _index_range_run(entry, "raise")
+    assert exc.value.iteration == 6
+    assert isinstance(exc.value.__cause__, quantizers.IndexRange)
 
 
 # ---------------------------------------------------------------------------
