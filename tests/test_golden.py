@@ -11,7 +11,7 @@ A deliberate change of drawn bits regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md. It prints both tables.
+and says why in CHANGES.md. It prints all three tables.
 """
 
 import hashlib
@@ -19,7 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from subspaceq import graphs, learning, quantizers
+from subspaceq import analysis, graphs, learning, quantizers
 from subspaceq.learning import DataModel, RunConfig
 
 L = 3
@@ -347,6 +347,56 @@ QUANTIZER_GOLDEN = {
 }
 
 
+
+def _sweep(mode, grid, **kw):
+    top, basis, comb = _network(6, mode, connectivity=0.7 if mode == "subspace-lsq"
+                                else 0.6)
+    template = RunConfig(**{"mu": 0.02, "gamma": 0.9, "iterations": 500,
+                            "runs": 2, "quantizer": quantizers.identity(L),
+                            "seed": 13, **kw})
+    return analysis.rate_distortion_sweep(template, _models(6), basis, comb, grid)
+
+
+def sweep_digests(points) -> list:
+    return [_digest(np.array([p.param_value, p.rate_bits, p.msd, p.msd_db,
+                              float(p.diverged)])) for p in points]
+
+
+# at mu = 0.4 the anq(1, 0.01) point passes DIVERGENCE_LIMIT in round 427 of
+# its first run, and uniform(1e-20) needs level indices beyond 2**53 at once
+SWEEP_CASES = {
+    "sweep-consensus": lambda: _sweep("consensus-metropolis", [
+        (0.2, quantizers.uniform(0.2, L)),
+        (1e-20, quantizers.uniform(1e-20, L)),
+        (0.0, quantizers.anq(0.0, 0.01, L)),
+        (0.25, quantizers.anq(0.25, 0.01, L)),
+        (1.0, quantizers.anq(1.0, 0.01, L)),
+        (0.0, quantizers.identity(L)),
+    ], mu=0.4, gamma=0.8, seed=11),
+    "sweep-lsq": lambda: _sweep("subspace-lsq", [
+        (0.02, quantizers.uniform(0.02, L)),
+        (0.25, quantizers.anq(0.25, 0.02, L)),
+        (1.0, quantizers.anq(1.0, 0.02, L)),
+    ]),
+}
+
+SWEEP_GOLDEN = {
+    'sweep-consensus': [
+        '55a044598aa569f988dd7a4b24976334382f0c80eeb99fae00c54680e6dec6c2',
+        'c6c9bf02d780199efa6502921c2478a2ca67f906d1898bed42b3e52c14c1566c',
+        '977174a59dec15fb8a1dc2c5bbb1237f627bae61839a4fbf628037edf2f2af5a',
+        'edea9dac40776b16f93256f7d7e1e04a49962cfdf6d6e4b5593765eadd4927ec',
+        '8f4fd69f298ae3600566f99c3b55839c7703d5c25a45198ed466a1e82e6566a2',
+        '571cbf5a864736afb19f2308f1768ec32f5b54aaa7d5320fc729b6a7fe53c90e',
+    ],
+    'sweep-lsq': [
+        '81800d88d8765f689ff6365a2fc1ed2838d67230186a5652f731ce0f9d48bb64',
+        '174863969b46fb01b121aa062bb9252f329fc7e83daaa2d52972df8715ef2d3f',
+        '200cb960e10d3a7a73b09313303e496b9775acb1e932b79e24b81bd3faab6bf4',
+    ],
+}
+
+
 def test_every_case_has_a_digest():
     assert set(GOLDEN) == set(CASES)
 
@@ -372,6 +422,15 @@ def test_quantizer_digest(name):
     assert QUANTIZER_CASES[name]() == QUANTIZER_GOLDEN[name]
 
 
+def test_every_sweep_case_has_a_digest():
+    assert set(SWEEP_GOLDEN) == set(SWEEP_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_digest(name):
+    assert sweep_digests(SWEEP_CASES[name]()) == SWEEP_GOLDEN[name]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for _name in sorted(CASES):
@@ -384,4 +443,12 @@ if __name__ == "__main__":
     print("QUANTIZER_GOLDEN = {")
     for _name in sorted(QUANTIZER_CASES):
         print(f"    {_name!r}: {QUANTIZER_CASES[_name]()!r},")
+    print("}")
+    print()
+    print("SWEEP_GOLDEN = {")
+    for _name in sorted(SWEEP_CASES):
+        print(f"    {_name!r}: [")
+        for _value in sweep_digests(SWEEP_CASES[_name]()):
+            print(f"        {_value!r},")
+        print("    ],")
     print("}")
