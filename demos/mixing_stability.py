@@ -30,10 +30,12 @@ bound = analysis.gamma_bound(rep, beta_sq)
 print(f"sparsifier keeps 20% of coordinates: beta^2 = {beta_sq:.0f}")
 print(f"spectral mixing bound: gamma < {bound:.4f}\n")
 
-for gamma in (0.5 * bound, 1.0):
-    cfg = RunConfig(mu=0.003, gamma=gamma, iterations=3000, runs=1,
-                    quantizer=spec, seed=17, on_divergence="flag")
-    res = learning.run(cfg, models, basis, comb)
+# both mixing parameters advance together in one run over a list of configs
+gammas = (0.5 * bound, 1.0)
+configs = [RunConfig(mu=0.003, gamma=gamma, iterations=3000, runs=1,
+                     quantizer=spec, seed=17, on_divergence="flag")
+           for gamma in gammas]
+for gamma, res in zip(gammas, learning.run(configs, models, basis, comb)):
     if res.diverged:
         print(f"gamma = {gamma:.4f}: diverged at iteration {res.diverged_at}")
         head = res.msd_db[:res.diverged_at]

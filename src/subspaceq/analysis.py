@@ -148,18 +148,23 @@ def rate_upper_bound(omega, eta, chi_ms, m_k) -> float:
 def rate_distortion_sweep(template: RunConfig, models, basis, comb, grid):
     """Steady-state (rate, distortion) pairs over a quantizer grid.
 
-    grid is a sequence of (param_value, QuantizerSpec). Each point reruns the
-    simulator with the template config and that quantizer, then averages bits
-    per component and MSD over the steady window and the Monte-Carlo runs.
-    Diverged points come back flagged with infinite MSD, never dropped.
+    grid is a sequence of (param_value, QuantizerSpec). Each point runs the
+    template config with that quantizer and on_divergence="flag", then
+    averages bits per component and MSD over the steady window and the
+    Monte-Carlo runs. The whole grid is one learning.run call over a list
+    of configs: the points share the network, seed and step size, so each
+    stream cell is drawn once for all of them and w_opt is computed once,
+    and each point stays bit-identical to a run of its config alone. A
+    point that diverges stops alone and comes back flagged with infinite
+    MSD, never dropped.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
+    configs = [replace(template, quantizer=spec, on_divergence="flag")
+               for _, spec in grid]
     points = []
-    for value, spec in grid:
-        cfg = replace(template, quantizer=spec, on_divergence="flag")
-        res = run(cfg, models, basis, comb)
+    for (value, _), res in zip(grid, run(configs, models, basis, comb)):
         if res.diverged:
             points.append(SweepPoint(float(value), float("nan"), float("inf"),
                                      float("inf"), True))

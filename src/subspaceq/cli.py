@@ -255,17 +255,32 @@ def build_setup(exp: Experiment):
 
 
 def _run_job(args):
-    cfg, models, basis, comb = args
+    models, basis, comb, configs = args
     if basis is None:
-        return learning.run_diffusion(cfg, models, np.ones((1, 1)))
-    return learning.run(cfg, models, basis, comb)
+        return [learning.run_diffusion(c, models, np.ones((1, 1))) for c in configs]
+    return learning.run(configs, models, basis, comb)
 
 
-def _map_jobs(fn, jobs, workers):
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, jobs))
+def _chunks(items, parts):
+    """items in at most `parts` contiguous chunks of nearly equal length."""
+    parts = max(1, min(parts, len(items)))
+    size, extra = divmod(len(items), parts)
+    starts = [p * size + min(p, extra) for p in range(parts + 1)]
+    return [items[a:b] for a, b in zip(starts, starts[1:])]
+
+
+def _map_chunks(fn, args, items, workers):
+    """fn((*args, chunk)) over contiguous chunks of items, one per worker
+    process (in this process when workers <= 1); the chunks' results are
+    concatenated in order. Each chunk runs as one batch, so the results do
+    not depend on the number of workers."""
+    jobs = [(*args, chunk) for chunk in _chunks(items, workers)]
+    if len(jobs) <= 1:
+        parts = [fn(j) for j in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(fn, jobs))
+    return [r for part in parts for r in part]
 
 
 def _mu_tag(mu):
@@ -277,14 +292,12 @@ def cmd_run(exp: Experiment, workers=1) -> int:
     out = Path(exp.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    for mu in exp.mus:
-        spec = resolve_quantizer(exp.quantizer_text, mu, exp.l, exp.b_hp)
-        cfg = RunConfig(mu=mu, gamma=exp.gamma, iterations=exp.iterations,
-                        runs=exp.runs, quantizer=spec, seed=exp.seed)
-        jobs.append((cfg, models, basis, comb))
-
-    results = _map_jobs(_run_job, jobs, workers)
+    configs = [RunConfig(mu=mu, gamma=exp.gamma, iterations=exp.iterations,
+                         runs=exp.runs, seed=exp.seed,
+                         quantizer=resolve_quantizer(exp.quantizer_text, mu,
+                                                     exp.l, exp.b_hp))
+               for mu in exp.mus]
+    results = _map_chunks(_run_job, (models, basis, comb), configs, workers)
 
     files = []
     for mu, res in zip(exp.mus, results):
@@ -307,7 +320,7 @@ def cmd_run(exp: Experiment, workers=1) -> int:
                      "per_agent"):
             fh.write(f"{name} = {getattr(exp, name)}\n")
         fh.write(f"mus = {', '.join(f'{m:g}' for m in exp.mus)}\n")
-        for cfg, *_ in jobs:
+        for cfg in configs:
             fh.write(f"quantizer[mu={cfg.mu:g}] = "
                      f"{quantizers.spec_string(cfg.quantizer)}\n")
         fh.write("sigma_u_sq = " + ", ".join(f"{m.sigma_u_sq:.17g}" for m in models) + "\n")
@@ -388,8 +401,8 @@ def _sweep_grid(exp: Experiment):
 
 
 def _sweep_job(args):
-    template, models, basis, comb, point = args
-    return analysis.rate_distortion_sweep(template, models, basis, comb, [point])[0]
+    template, models, basis, comb, points = args
+    return analysis.rate_distortion_sweep(template, models, basis, comb, points)
 
 
 def cmd_rate_distortion(exp: Experiment, workers=1) -> int:
@@ -406,9 +419,9 @@ def cmd_rate_distortion(exp: Experiment, workers=1) -> int:
                          runs=exp.runs, quantizer=quantizers.identity(exp.l),
                          seed=exp.seed, on_divergence="flag")
     grids = _sweep_grid(exp)
-    jobs = [(template, models, basis, comb, point)
-            for _, points in grids for point in points]
-    flat = _map_jobs(_sweep_job, jobs, workers)
+    flat = _map_chunks(_sweep_job, (template, models, basis, comb),
+                       [point for _, points in grids for point in points],
+                       workers)
 
     curves = {}
     i = 0

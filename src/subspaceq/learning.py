@@ -26,6 +26,7 @@ __all__ = [
     "NetworkState",
     "RunResult",
     "NonFinite",
+    "BatchMismatch",
     "StateDesync",
     "sample_gradient",
     "step",
@@ -37,11 +38,21 @@ __all__ = [
 
 
 class NonFinite(RuntimeError):
-    """An iterate left the finite range; carries the iteration index."""
+    """An iterate left the finite range; carries the iteration index. Both
+    constructor arguments stay in args, so the error pickles intact across
+    worker processes."""
 
     def __init__(self, iteration, message="iterate exceeded the divergence guard"):
-        super().__init__(f"{message} at iteration {iteration}")
+        super().__init__(iteration, message)
         self.iteration = iteration
+        self.message = message
+
+    def __str__(self):
+        return f"{self.message} at iteration {self.iteration}"
+
+
+class BatchMismatch(ValueError):
+    """Configs run as one batch differ in seed, runs or iterations."""
 
 
 class StateDesync(AssertionError):
@@ -183,14 +194,18 @@ def _model_arrays(models):
 def _draw_psi(w, arrays, mu, streams, iteration):
     """Adaptation phase for the whole network: per-agent gradient draws from
     each agent's own stream, arithmetic stacked. Row k matches
-    w[k] - mu * sample_gradient(models[k], w[k], stream) to rounding order."""
+    w[k] - mu * sample_gradient(models[k], w[k], stream) to rounding order.
+    w may stack copies of the network as consecutive blocks of n rows, with
+    mu a matching column; each agent's cell is drawn once for all copies."""
     sqrt_su, sqrt_sv, w_star = arrays
-    n, l = w.shape
+    n, l = w_star.shape
     z = np.empty((n, l + 1))
     for k in range(n):
         z[k] = streams.stream(iteration, k, GRADIENT).standard_normal(l + 1)
     u = sqrt_su * z[:, :l]
     d = np.einsum("kl,kl->k", u, w_star) + sqrt_sv * z[:, l]
+    stacked = w.shape[0] // n
+    u, d = np.tile(u, (stacked, 1)), np.tile(d, stacked)
     err = d - np.einsum("kl,kl->k", u, w)
     return w + mu * u * err[:, None]
 
@@ -204,36 +219,91 @@ def _shared_batch_spec(specs):
     return None
 
 
-def _quantize_all(specs, shared, chi, streams, iteration):
-    """Broadcast phase: quantize every agent's innovation against its own
-    stream. Uses the stacked elementwise path for the spec all agents share
-    (``shared``, from _shared_batch_spec; bit-identical to the per-agent
-    path), falls back to per-agent messages when it is None."""
-    n, l = chi.shape
-    if shared is not None:
-        if shared.kind == "identity":
-            return quantizers.quantize_batch(shared, chi)
-        us = np.empty((n, l))
-        for k in range(n):
-            us[k] = streams.stream(iteration, k, QUANTIZE).random(l)
-        return quantizers.quantize_batch(shared, chi, us)
-    bits = np.empty(n)
-    delta = np.empty((n, l))
-    for k in range(n):
-        rng = streams.stream(iteration, k, QUANTIZE)
-        msg = quantizers.quantize(specs[k], chi[k], rng)
-        bits[k] = msg.bit_cost
-        delta[k] = quantizers.reconstruct(specs[k], msg)
+# quantize groups in stacking order; "message" quantizes agent by agent
+_GROUPS = ("identity", "uniform", "anq", "message")
+
+
+def _group(specs):
+    shared = _shared_batch_spec(specs)
+    return "message" if shared is None else shared.kind
+
+
+def _quantize_groups(config_specs, n):
+    """The quantize work of one round over configs stacked as blocks of n
+    rows: (kind, rows, specs) for each run of consecutive configs of one
+    _group kind. A stacked kind holds each config's shared spec, "message"
+    every row's own spec."""
+    groups = []
+    for b, specs in enumerate(config_specs):
+        kind = _group(specs)
+        if not groups or groups[-1][0] != kind:
+            groups.append((kind, [], []))
+        groups[-1][1].append(b)
+        groups[-1][2].extend(specs if kind == "message" else specs[:1])
+    return [(kind, slice(members[0] * n, (members[-1] + 1) * n), specs)
+            for kind, members, specs in groups]
+
+
+def _flagged_batch(specs, xs, us):
+    """quantizers.quantize_batch over a stack of configs, where a config with
+    a level index beyond the exact range gets NaN costs and a zero update
+    instead of failing the others."""
+    try:
+        return quantizers.quantize_batch(specs, xs, us)
+    except quantizers.IndexRange as exc:
+        ok = ~np.any(exc.rows, axis=1)
+        costs, recon = np.full(xs.shape[:2], np.nan), np.zeros(xs.shape)
+        if ok.any():
+            costs[ok], recon[ok] = quantizers.quantize_batch(
+                [s for s, keep in zip(specs, ok) if keep], xs[ok], us[ok])
+        return costs, recon
+
+
+def _quantize_all(groups, chi, streams, iteration, n):
+    """Broadcast phase: quantize every row's innovation against its agent's
+    stream. Each stacked group (_quantize_groups) is one quantize_batch call
+    over all its configs, with every agent's uniform draws made once and
+    shared; "message" rows quantize one by one. Both are bit-identical to
+    quantizing agent by agent. A row whose level index would leave the exact
+    range (quantizers.IndexRange) gets NaN bits."""
+    rows, l = chi.shape
+    bits = np.empty(rows)
+    delta = np.empty((rows, l))
+    us = None
+    for kind, block, specs in groups:
+        if kind == "message":
+            for r, spec in zip(range(block.start, block.stop), specs):
+                rng = streams.stream(iteration, r % n, QUANTIZE)
+                try:
+                    msg = quantizers.quantize(spec, chi[r], rng)
+                except quantizers.IndexRange:
+                    bits[r], delta[r] = np.nan, 0.0
+                    continue
+                bits[r] = msg.bit_cost
+                delta[r] = quantizers.reconstruct(spec, msg)
+            continue
+        xs = chi[block].reshape(-1, n, l)
+        if kind == "identity":
+            costs, recon = quantizers.quantize_batch(specs, xs)
+        else:
+            if us is None:
+                us = np.empty((n, l))
+                for k in range(n):
+                    us[k] = streams.stream(iteration, k, QUANTIZE).random(l)
+            costs, recon = _flagged_batch(specs, xs,
+                                          np.repeat(us[None], len(specs), 0))
+        bits[block] = costs.ravel()
+        delta[block] = recon.reshape(-1, l)
     return bits, delta
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """What stays fixed across the rounds of one run."""
+    """What stays fixed across the rounds of one batch of configs."""
 
     arrays: tuple                 # _model_arrays(models)
-    shared: quantizers.QuantizerSpec | None   # _shared_batch_spec(specs)
-    nb_index: np.ndarray          # (n, d) agent indices matching the blocks
+    groups: list                  # _quantize_groups of the stacked configs
+    nb_index: np.ndarray          # (rows, d) row indices matching the blocks
 
 
 def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
@@ -246,17 +316,20 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
     (c) mix: w_k = (1 - gamma) phi_k + gamma * sum_j A_kj phi_j. blocks is
     the combination matrix viewed as (n, n, l, l); run passes instead each
     agent's neighbor blocks (n, d_max, l, l) with their agent indices in its
-    plan. streams is the StreamField of the enclosing Monte-Carlo
-    repetition. Returns (per-agent message bits, per-agent ||chi||^2).
+    plan. The batched driver stacks several configs' networks in one state,
+    as blocks of n rows with mu and gamma as matching columns, and its plan
+    holds their quantize groups. streams is the StreamField of the enclosing
+    Monte-Carlo repetition. Returns (per-row message bits, per-row
+    ||chi||^2); bits are NaN where a level index left the exact range.
     """
     n = state.n
     if _plan is None:
-        _plan = _Plan(_model_arrays(models), _shared_batch_spec(specs),
+        _plan = _Plan(_model_arrays(models), _quantize_groups([specs], n),
                       np.broadcast_to(np.arange(n), (n, n)))
 
     psi = _draw_psi(state.w, _plan.arrays, mu, streams, iteration)
     chi = psi - state.phi
-    bits, delta = _quantize_all(specs, _plan.shared, chi, streams, iteration)
+    bits, delta = _quantize_all(_plan.groups, chi, streams, iteration, len(models))
 
     state.phi += delta
     if state.copies is None:
@@ -304,76 +377,160 @@ def _neighbor_mask(topology):
     return mask
 
 
-def _monte_carlo(config: RunConfig, models, prepare, replicas=False) -> RunResult:
-    """The Monte-Carlo loop that run and run_diffusion share.
+@dataclass(frozen=True)
+class _Batch:
+    """The live configs of a batch, stacked as consecutive blocks of n rows."""
 
-    Checks that all agents share one block dimension l and that every
-    quantizer spec has dim l, then calls prepare(n, l, specs). It returns
-    the deviation reference w_opt (n, l) and the round function
-    round_(state, streams, i), which advances the NetworkState by round i in
-    place and returns (per-agent message bits, per-agent ||chi||^2). Every
+    count: int
+    mu: np.ndarray                # (rows, 1)
+    gamma: np.ndarray             # (rows, 1)
+    specs: list                   # each row's quantizer spec
+    groups: list                  # _quantize_groups
+
+
+def _stack(configs, specs, n):
+    """The _Batch of configs (with their per-agent specs) in this order."""
+    def column(values):
+        return np.repeat(values, n)[:, None]
+
+    return _Batch(len(configs), column([c.mu for c in configs]),
+                  column([c.gamma for c in configs]),
+                  [s for config_specs in specs for s in config_specs],
+                  _quantize_groups(specs, n))
+
+
+def _monte_carlo(configs, models, prepare, replicas=False) -> list:
+    """The Monte-Carlo loop that run and run_diffusion share; one RunResult
+    per config.
+
+    The configs must share seed, runs and iterations (else BatchMismatch),
+    so that they consume the same stream cells: each round draws every cell
+    once for all of them. Checks that all agents share one block dimension l
+    and that every quantizer spec has dim l, then calls prepare(n, l). It
+    returns the deviation reference w_opt (n, l) and rounds(batch), which
+    gives for a _Batch the round function round_(state, streams, i): it
+    advances the stacked NetworkState by round i in place and returns
+    (per-row message bits, per-row ||chi||^2). Configs are stacked in
+    _GROUPS order, so that each quantize group is one call. Every
     repetition starts from w = phi = 0 with its own StreamField.
 
-    Round i diverges when the deviation leaves the finite range or |w| passes
-    DIVERGENCE_LIMIT after it, or when it raises quantizers.IndexRange (a
-    level index beyond exact arithmetic); either way diverged_at = i + 1.
-    on_divergence="raise" raises NonFinite(i + 1). "flag" stops the
-    Monte-Carlo loop and averages what the repetitions recorded, with msd
-    inf and bits and chi_sq NaN past the last completed round.
+    Divergence is per config. Round i diverges a config when its deviation
+    leaves the finite range or its |w| passes DIVERGENCE_LIMIT after it, or
+    when one of its level indices would leave the exact range (NaN bits,
+    from quantizers.IndexRange); either way diverged_at = i + 1, and the
+    config leaves the stack while the others go on. Its Monte-Carlo loop
+    stops there: its result averages what its repetitions recorded, with msd
+    inf and bits and chi_sq NaN past the last completed round. At the end,
+    the lowest-index diverged config whose on_divergence is "raise" raises
+    NonFinite(diverged_at), as separate calls in order would have.
     """
+    configs = list(configs)
+    first = configs[0]
+    if any((c.seed, c.runs, c.iterations) != (first.seed, first.runs, first.iterations)
+           for c in configs):
+        raise BatchMismatch("configs run as one batch must share seed, runs "
+                            "and iterations")
     n = len(models)
     l = models[0].dim
     if any(m.dim != l for m in models):
         raise ValueError("all agents must share one block dimension")
-    specs = config.specs_for(n)
-    for k, s in enumerate(specs):
-        if s.dim != l:
-            raise ValueError(f"quantizer {k} has dim {s.dim}, agents have {l}")
-    w_opt, round_ = prepare(n, l, specs)
+    specs = [c.specs_for(n) for c in configs]
+    for config_specs in specs:
+        for k, s in enumerate(config_specs):
+            if s.dim != l:
+                raise ValueError(f"quantizer {k} has dim {s.dim}, agents have {l}")
+    w_opt, rounds = prepare(n, l)
 
-    t_iters = config.iterations
-    msd_acc = np.zeros(t_iters + 1)
-    bits_acc = np.zeros((t_iters, n))
-    chi_acc = np.zeros((t_iters, n))
-    diverged_at = None
+    # accumulators in stacking order: position p holds config order[p]
+    order = sorted(range(len(configs)), key=lambda b: _GROUPS.index(_group(specs[b])))
+    count, t_iters = len(order), first.iterations
+    msd_acc = np.zeros((count, t_iters + 1))
+    bits_acc = np.zeros((count, t_iters, n))
+    chi_acc = np.zeros((count, t_iters, n))
+    diverged_at = [None] * count
+    completed = [t_iters] * count
+    causes = [None] * count
+    runs_done = [first.runs] * count
+    dev0 = np.sum((np.zeros((n, l)) - w_opt) ** 2) / n
 
-    for rep in range(config.runs):
-        streams = StreamField(config.seed, rep)
-        state = NetworkState(n, l, replicas=replicas)
-        msd_acc[0] += np.sum((state.w - w_opt) ** 2) / n
-        for i in range(t_iters):
-            try:
-                bits, chi_sq = round_(state, streams, i)
-            except quantizers.IndexRange as exc:
-                diverged_at, completed, cause = i + 1, i, exc
-                break
-            bits_acc[i] += bits
-            chi_acc[i] += chi_sq
-            dev = np.sum((state.w - w_opt) ** 2) / n
-            msd_acc[i + 1] += dev
-            if not np.isfinite(dev) or np.max(np.abs(state.w)) > DIVERGENCE_LIMIT:
-                diverged_at, completed, cause = i + 1, i + 1, None
-                break
-        if diverged_at is not None:
-            if config.on_divergence == "raise":
-                raise NonFinite(diverged_at) from cause
+    for rep in range(first.runs):
+        live = [p for p in range(count) if diverged_at[p] is None]
+        if not live:
             break
+        streams = StreamField(first.seed, rep)
+        state = NetworkState(len(live) * n, l, replicas=replicas)
+        round_ = rounds(_stack([configs[order[p]] for p in live],
+                               [specs[order[p]] for p in live], n))
+        where = slice(None) if len(live) == count else np.array(live)
+        msd_acc[where, 0] += dev0
+        for i in range(t_iters):
+            bits, chi_sq = round_(state, streams, i)
+            m = len(live)
+            bits, chi_sq = bits.reshape(m, n), chi_sq.reshape(m, n)
+            dev = np.sum(((state.w.reshape(m, n, l) - w_opt) ** 2).reshape(m, -1),
+                         axis=1) / n
+            # a diverging config's rows from here on are overwritten below
+            bits_acc[where, i] += bits
+            chi_acc[where, i] += chi_sq
+            msd_acc[where, i + 1] += dev
+            if (np.isfinite(dev).all() and not np.isnan(bits).any()
+                    and np.max(np.abs(state.w)) <= DIVERGENCE_LIMIT):
+                continue
+            lost = np.isnan(bits).any(axis=1)
+            broke = lost | ~np.isfinite(dev) | (
+                np.max(np.abs(state.w.reshape(m, -1)), axis=1) > DIVERGENCE_LIMIT)
+            for j in np.flatnonzero(broke):
+                p = live[j]
+                diverged_at[p], runs_done[p] = i + 1, rep + 1
+                completed[p] = i if lost[j] else i + 1
+                if lost[j]:
+                    causes[p] = quantizers.IndexRange(
+                        f"a level index would reach 2**53 in round {i}")
+            stay = np.flatnonzero(~broke)
+            live = [live[j] for j in stay]
+            if not live:
+                break
+            _keep_configs(state, stay, n)
+            round_ = rounds(_stack([configs[order[p]] for p in live],
+                                   [specs[order[p]] for p in live], n))
+            where = np.array(live)
 
-    runs_done = rep + 1
-    msd = msd_acc / runs_done
-    bits_avg = bits_acc / runs_done
-    chi_avg = chi_acc / runs_done
-    if diverged_at is not None:
-        msd[completed + 1:] = np.inf
-        bits_avg[completed:] = np.nan
-        chi_avg[completed:] = np.nan
-    return RunResult(msd=msd, bits=bits_avg, chi_sq=chi_avg, w_opt=w_opt,
-                     diverged=diverged_at is not None, diverged_at=diverged_at,
-                     runs_used=runs_done, config=config)
+    position = {b: p for p, b in enumerate(order)}
+    for b, config in enumerate(configs):
+        p = position[b]
+        if diverged_at[p] is not None and config.on_divergence == "raise":
+            raise NonFinite(diverged_at[p]) from causes[p]
+    # averaged in place; each result holds views of its config's rows
+    divisor = np.array(runs_done, dtype=float)
+    msd_acc /= divisor[:, None]
+    bits_acc /= divisor[:, None, None]
+    chi_acc /= divisor[:, None, None]
+    results = []
+    for b, config in enumerate(configs):
+        p = position[b]
+        msd, bits_avg, chi_avg = msd_acc[p], bits_acc[p], chi_acc[p]
+        if diverged_at[p] is not None:
+            msd[completed[p] + 1:] = np.inf
+            bits_avg[completed[p]:] = np.nan
+            chi_avg[completed[p]:] = np.nan
+        results.append(RunResult(
+            msd=msd, bits=bits_avg, chi_sq=chi_avg, w_opt=w_opt,
+            diverged=diverged_at[p] is not None, diverged_at=diverged_at[p],
+            runs_used=runs_done[p], config=config))
+    return results
 
 
-def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix,
-        debug=False) -> RunResult:
+def _keep_configs(state: NetworkState, stay, n):
+    """Shrink a stacked state, in place, to the configs at positions stay."""
+    rows = (np.asarray(stay)[:, None] * n + np.arange(n)).ravel()
+    state.n = rows.size
+    state.w, state.phi = state.w[rows], state.phi[rows]
+    if state.copies is not None:
+        state.copies = state.copies[np.ix_(rows, rows)]
+
+
+def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
+        debug=False):
     """Monte-Carlo execution of the quantized subspace recursion.
 
     Starts every repetition from w = phi = 0, draws gradients and quantizer
@@ -383,8 +540,19 @@ def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix
     mixes only the neighbor blocks of A. debug=True is the audit mode: every
     agent keeps replicas of its neighbors' states, mixes from them, and they
     are checked against the owners' states every 100 iterations.
+
+    config may also be a sequence of RunConfigs that share seed, runs and
+    iterations (else BatchMismatch); the call then returns a list with one
+    RunResult per config. Draws are keyed by repetition, iteration and
+    agent, never by config, so such configs consume the same draws: they
+    advance together, each round drawing every stream cell once and
+    quantizing each scheme's configs in one stacked call, and every result
+    is bit-identical to a run of its config alone. A config that diverges
+    stops alone; see _monte_carlo for the divergence policy of a batch.
     """
-    def prepare(n, l, specs):
+    configs = [config] if isinstance(config, RunConfig) else list(config)
+
+    def prepare(n, l):
         if basis.u.shape[0] != n * l:
             raise ValueError("basis ambient dimension does not match the models")
         covs = [m.sigma_u_sq for m in models]
@@ -392,16 +560,25 @@ def run(config: RunConfig, models, basis: SubspaceBasis, comb: CombinationMatrix
         w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
 
         nb_index, nb_blocks = _neighbor_blocks(comb, n, l)
-        plan = _Plan(_model_arrays(models), _shared_batch_spec(specs), nb_index)
-        neighbor_mask = _neighbor_mask(comb.topology) if debug else None
+        arrays = _model_arrays(models)
+        mask = _neighbor_mask(comb.topology) if debug else None
 
-        def round_(state, streams, i):
-            return step(state, models, specs, config.mu, config.gamma,
-                        nb_blocks, streams, i, neighbor_mask,
-                        debug=debug and i % 100 == 0, _plan=plan)
-        return w_opt, round_
+        def rounds(batch):
+            m = batch.count
+            index = (nb_index + n * np.arange(m)[:, None, None]).reshape(m * n, -1)
+            blocks = np.tile(nb_blocks, (m, 1, 1, 1))
+            plan = _Plan(arrays, batch.groups, index)
+            neighbor_mask = None if mask is None else np.kron(np.eye(m), mask)
 
-    return _monte_carlo(config, models, prepare, replicas=debug)
+            def round_(state, streams, i):
+                return step(state, models, batch.specs, batch.mu, batch.gamma,
+                            blocks, streams, i, neighbor_mask,
+                            debug=debug and i % 100 == 0, _plan=plan)
+            return round_
+        return w_opt, rounds
+
+    results = _monte_carlo(configs, models, prepare, replicas=debug)
+    return results[0] if isinstance(config, RunConfig) else results
 
 
 def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
@@ -417,26 +594,27 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
     """
     a_scalar = np.asarray(a_scalar, dtype=float)
 
-    def prepare(n, l, specs):
+    def prepare(n, l):
         if a_scalar.shape != (n, n):
             raise ValueError("scalar combination matrix has the wrong shape")
         weights = np.array([m.sigma_u_sq for m in models])
         wbar = np.average(np.stack([m.w_star for m in models]), axis=0,
                           weights=weights)
         arrays = _model_arrays(models)
-        shared = _shared_batch_spec(specs)
-        mu, gamma = config.mu, config.gamma
 
-        def round_(state, streams, i):
-            psi = _draw_psi(state.w, arrays, mu, streams, i)
-            chi = psi - state.phi
-            bits, delta = _quantize_all(specs, shared, chi, streams, i)
-            state.phi += delta
-            state.w = (1.0 - gamma) * state.phi + gamma * (a_scalar @ state.phi)
-            return bits, np.einsum("kl,kl->k", chi, chi)
-        return np.tile(wbar, (n, 1)), round_
+        def rounds(batch):
+            def round_(state, streams, i):
+                psi = _draw_psi(state.w, arrays, batch.mu, streams, i)
+                chi = psi - state.phi
+                bits, delta = _quantize_all(batch.groups, chi, streams, i, n)
+                state.phi += delta
+                state.w = ((1.0 - batch.gamma) * state.phi
+                           + batch.gamma * (a_scalar @ state.phi))
+                return bits, np.einsum("kl,kl->k", chi, chi)
+            return round_
+        return np.tile(wbar, (n, 1)), rounds
 
-    return _monte_carlo(config, models, prepare)
+    return _monte_carlo([config], models, prepare)[0]
 
 
 def save_metrics_csv(path, result: RunResult, version, seed, per_agent=False):

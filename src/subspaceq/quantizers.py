@@ -68,7 +68,13 @@ class DegenerateCell(ValueError):
 
 class IndexRange(ValueError):
     """A level index would reach MAX_INDEX in magnitude (a cell far too fine
-    for the input), beyond exact index and bit-cost arithmetic."""
+    for the input), beyond exact index and bit-cost arithmetic. ``rows``
+    marks the input vectors concerned (shape of the input without its last
+    axis), when the raiser knows them."""
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class SchemeMismatch(ValueError):
@@ -265,37 +271,79 @@ def compander_inverse(t, omega, eta):
 
 
 def _floor_index(t):
-    """floor(t) as int64 level indices; raises IndexRange before the cast
-    when floor(t) or floor(t) + 1 would reach MAX_INDEX in magnitude."""
+    """floor(t) as int64 level indices, and a mask of the vectors (along the
+    last axis) in which floor(t) or floor(t) + 1 would reach MAX_INDEX in
+    magnitude. Those vectors' indices are zeroed before the cast, so that
+    the rest of a stack still rounds exactly."""
     m = np.floor(t)
-    if not np.all((m > -MAX_INDEX) & (m < MAX_INDEX - 1)):
-        worst = np.max(np.abs(m))
-        raise IndexRange(f"level index {worst:.4g} out of range (|n| < 2**53)")
-    return m.astype(np.int64)
+    inside = (m > -MAX_INDEX) & (m < MAX_INDEX - 1)
+    if inside.all():
+        return m.astype(np.int64), np.zeros(m.shape[:-1], dtype=bool)
+    return np.where(inside, m, 0.0).astype(np.int64), ~inside.all(axis=-1)
 
 
-def _index_maps(spec):
-    """Forward map g and level-to-value map y of a uniform or anq spec; level
+def _index_range(bad):
+    return IndexRange(f"{int(np.sum(bad))} vector(s) need a level index beyond "
+                      f"the exact range (|n| < 2**53)", rows=bad)
+
+
+def _is_linear(spec):
+    """uniform, or anq with omega = 0, whose compander t / (2 eta) is the
+    uniform map with delta = 2 eta."""
+    return spec.kind == "uniform" or spec.omega == 0.0
+
+
+def _index_maps(specs):
+    """Forward map g and level-to-value map y of uniform or anq specs; level
     n stands for the value y(n), and g(x) lies in [m, m + 1) for the cell
-    [y(m), y(m + 1)) that holds x."""
-    if spec.kind == "uniform":
-        d = spec.delta
+    [y(m), y(m + 1)) that holds x.
+
+    The specs must all be linear (_is_linear) or all logarithmic. One spec
+    gives maps of any array. m specs give maps of an (m, n, L) stack, spec j
+    mapping stack j, with their parameters held as (m, 1, 1) columns; every
+    element goes through its own spec's operations in the same order, so
+    the results equal those of the single-spec maps bit for bit."""
+    def col(values):
+        return values[0] if len(values) == 1 else np.array(values)[:, None, None]
+
+    if _is_linear(specs[0]):
+        d = col([s.delta if s.kind == "uniform" else 2.0 * s.eta for s in specs])
         return (lambda t: t / d), (lambda m: d * m)
-    w, e = spec.omega, spec.eta
-    return (lambda t: compander_forward(t, w, e)), (lambda m: compander_inverse(m, w, e))
+    ratio = col([s.omega / s.eta for s in specs])
+    scale = col([2.0 * math.asinh(s.omega) for s in specs])
+    spread = col([s.eta / s.omega for s in specs])
+    half = col([math.asinh(s.omega) for s in specs])
+
+    # compander_forward and compander_inverse, with columns for parameters
+    def g(t):
+        return np.sign(t) * np.log1p(ratio * np.abs(t)) / scale
+
+    def y(m):
+        m = np.asarray(m, dtype=float)
+        return np.sign(m) * spread * np.expm1(2.0 * np.abs(m) * half)
+    return g, y
 
 
 def _round_indices(x, g, y, u):
     """Vectorized two-point rounding of x through the maps of _index_maps;
     u are uniform draws shaped like x, or a stack of such rows, one rounding
-    of x per row."""
-    m = _floor_index(g(x))
+    of x per row. Returns the level indices and the _floor_index mask of
+    vectors out of the exact range."""
+    m, bad = _floor_index(g(x))
     y0 = y(m)
     width = y(m + 1) - y0
     if np.any(width <= 0):
         raise DegenerateCell("nonpositive cell width")
     p_up = np.clip((x - y0) / width, 0.0, 1.0)
-    return m + (u < p_up)
+    return m + (u < p_up), bad
+
+
+def _round_stack(specs, xs, us):
+    """Level indices, reconstructions and out-of-range mask of an (m, n, L)
+    stack whose specs all take the linear map or all the logarithmic one."""
+    g, y = _index_maps(specs)
+    idx, bad = _round_indices(xs, g, y, us)
+    return idx, y(idx), bad
 
 
 def _qsgd_levels(x, norm, s, u):
@@ -346,7 +394,9 @@ def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
         return QuantizedMessage(k, L, float(L * spec.b_hp), values=x.copy())
 
     if k in ("uniform", "anq"):
-        n = _round_indices(x, *_index_maps(spec), rng.random(L))
+        n, bad = _round_indices(x, *_index_maps([spec]), rng.random(L))
+        if bad:
+            raise _index_range(bad)
         return QuantizedMessage(k, L, float(_variable_rate_cost(n)), indices=n)
 
     if k == "randc":
@@ -391,24 +441,56 @@ def quantize_batch(spec: QuantizerSpec, xs, us=None):
     result is bit-identical to quantizing row by row. identity takes no
     randomness. Returns (bit_costs (n,), reconstructions (n, L)).
 
+    spec may also be a sequence of m specs of one scheme. xs and us are then
+    (m, n, L) stacks, spec j quantizes xs[j] with the draws us[j], and the
+    results have shapes (m, n) and (m, n, L), stack j bit-identical to
+    quantize_batch(spec[j], xs[j], us[j]); anq specs with omega = 0 take the
+    linear map, the others the logarithmic one.
+
     Only the schemes whose per-row work is pure elementwise arithmetic are
-    supported; selection schemes keep the per-vector path.
+    supported; selection schemes keep the per-vector path. A level index
+    beyond the exact range raises IndexRange, whose rows mark the vectors
+    concerned.
     """
+    one = isinstance(spec, QuantizerSpec)
+    specs = [spec] if one else list(spec)
     xs = np.asarray(xs, dtype=float)
-    n, L = xs.shape
-    if L != spec.dim:
-        raise SpecError(f"row length {L} does not match dim {spec.dim}")
-    k = spec.kind
-    if k == "identity":
-        return np.full(n, float(L * spec.b_hp)), xs.copy()
+    if one:
+        xs = xs[None]
+        us = None if us is None else np.asarray(us, dtype=float)[None]
+    if xs.ndim != 3 or xs.shape[0] != len(specs):
+        raise SpecError(f"input shape {xs.shape[one:]} does not fit "
+                        f"{len(specs)} spec(s)")
+    L = xs.shape[-1]
+    for s in specs:
+        if L != s.dim:
+            raise SpecError(f"row length {L} does not match dim {s.dim}")
+    k = specs[0].kind
+    if any(s.kind != k for s in specs):
+        raise SchemeMismatch("a stack of specs takes one scheme")
     if k not in BATCH_KINDS:
         raise SchemeMismatch(f"no batch path for scheme {k!r}")
-    us = np.asarray(us, dtype=float)
-    if us.shape != xs.shape:
-        raise SpecError("need one uniform draw per entry")
-    g, y = _index_maps(spec)
-    idx = _round_indices(xs, g, y, us)
-    return _variable_rate_cost(idx), y(idx)
+    if k == "identity":
+        costs = np.array([float(L * s.b_hp) for s in specs])[:, None]
+        costs, recon = np.repeat(costs, xs.shape[1], axis=1), xs.copy()
+    else:
+        us = np.asarray(us, dtype=float)
+        if us.shape != xs.shape:
+            raise SpecError("need one uniform draw per entry")
+        linear = np.array([_is_linear(s) for s in specs])
+        if linear.all() or not linear.any():
+            idx, recon, bad = _round_stack(specs, xs, us)
+        else:
+            idx = np.empty(xs.shape, dtype=np.int64)
+            recon = np.empty(xs.shape)
+            bad = np.empty(xs.shape[:2], dtype=bool)
+            for part in (linear, ~linear):
+                idx[part], recon[part], bad[part] = _round_stack(
+                    [s for s, p in zip(specs, part) if p], xs[part], us[part])
+        if bad.any():
+            raise _index_range(bad[0] if one else bad)
+        costs = _variable_rate_cost(idx)
+    return (costs[0], recon[0]) if one else (costs, recon)
 
 
 def reconstruct(spec: QuantizerSpec, msg: QuantizedMessage) -> np.ndarray:
@@ -417,7 +499,7 @@ def reconstruct(spec: QuantizerSpec, msg: QuantizedMessage) -> np.ndarray:
         raise SchemeMismatch(f"message {msg.kind}/{msg.dim} vs spec {spec.kind}/{spec.dim}")
     k = spec.kind
     if k in ("uniform", "anq"):
-        return _index_maps(spec)[1](msg.indices)
+        return _index_maps([spec])[1](msg.indices)
     if k == "qsgd":
         if msg.norm == 0.0:
             return np.zeros(spec.dim)
@@ -460,8 +542,11 @@ def sample_errors(spec: QuantizerSpec, x, rng, draws: int) -> np.ndarray:
     if k == "identity":
         return np.zeros((draws, L))
     if k in ("uniform", "anq"):
-        g, y = _index_maps(spec)
-        return x - y(_round_indices(x, g, y, rng.random((draws, L))))
+        g, y = _index_maps([spec])
+        idx, bad = _round_indices(x, g, y, rng.random((draws, L)))
+        if bad.any():
+            raise _index_range(bad)
+        return x - y(idx)
     if k == "randc":
         keys = rng.random((draws, L))
         coords = np.argpartition(keys, spec.c - 1, axis=1)[:, : spec.c]

@@ -149,6 +149,29 @@ def test_run_byte_identical_across_invocations_and_workers(tmp_path):
     assert (tmp_path / "s2" / "metrics_mu0p01.csv").read_bytes() != first
 
 
+def test_run_several_step_sizes_byte_identical_across_workers(tmp_path):
+    # one batched call with workers 1, one chunk per process with workers 2
+    path = base_config(tmp_path, iters=300,
+                       **{"mu = 0.01": "mu = 0.01, 0.02, 0.04"})
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["run", "--config", path, "--out", str(out),
+                         "--workers", workers]) == 0
+        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["1"]) == 4
+    assert outputs["1"] == outputs["2"]
+
+
+def test_run_divergence_message_across_workers(tmp_path, capsys):
+    # the diverging job's NonFinite crosses a process boundary intact
+    path = base_config(tmp_path, iters=400, **{"mu = 0.01": "mu = 0.01, 60.0"})
+    assert cli.main(["run", "--config", path, "--workers", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("at iteration") == 1
+    assert "divergence: iterate exceeded the divergence guard at iteration" in err
+
+
 def test_run_single_agent_is_sgd_trace(tmp_path):
     text = BASE.format(iters=900, out=tmp_path / "out")
     text = text.replace("n = 5", "n = 1")
@@ -240,6 +263,22 @@ def test_rate_distortion_combined_csv(tmp_path):
     rows = [l.split(",") for l in lines[2:]]
     assert len(rows) == 4
     assert {r[0] for r in rows} == {"uniform", "anq:omega=0.5"}
+
+
+def test_rate_distortion_byte_identical_across_workers(tmp_path):
+    # 6 grid points: one batched sweep with workers 1, two chunks of 3 with
+    # workers 2, and chunks of 2 with workers 3
+    extra = ("\n[sweep]\nschemes = uniform, anq:omega=0.5\n"
+             "values = 0.02, 0.2, 2.0\n")
+    path = base_config(tmp_path, iters=600, extra=extra)
+    csvs = {}
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}"
+        assert cli.main(["rate-distortion", "--config", path, "--out", str(out),
+                         "--workers", workers]) == 0
+        csvs[workers] = (out / "rate_distortion.csv").read_bytes()
+    assert len(csvs["1"].splitlines()) == 2 + 6
+    assert csvs["1"] == csvs["2"] == csvs["3"]
 
 
 def test_rate_distortion_requires_sweep(tmp_path, capsys):

@@ -347,7 +347,6 @@ QUANTIZER_GOLDEN = {
 }
 
 
-
 def _sweep(mode, grid, **kw):
     top, basis, comb = _network(6, mode, connectivity=0.7 if mode == "subspace-lsq"
                                 else 0.6)

@@ -1,5 +1,7 @@
 """Tests for the quantized decentralized learning recursion."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -438,6 +440,131 @@ def test_index_range_raises_nonfinite(entry):
         _index_range_run(entry, "raise")
     assert exc.value.iteration == 6
     assert isinstance(exc.value.__cause__, quantizers.IndexRange)
+
+
+def test_nonfinite_survives_pickling():
+    err = pickle.loads(pickle.dumps(learning.NonFinite(6)))
+    assert err.iteration == 6
+    assert str(err) == "iterate exceeded the divergence guard at iteration 6"
+    custom = pickle.loads(pickle.dumps(learning.NonFinite(3, "state blew up")))
+    assert (custom.iteration, str(custom)) == (3, "state blew up at iteration 3")
+
+
+# ---------------------------------------------------------------------------
+# configurations as an array axis
+
+def _batch_network():
+    # the golden consensus network; at mu = 0.4 some anq arms diverge
+    return make_network(6, 3, connectivity=0.6, seed=5,
+                        mode="consensus-metropolis")
+
+
+def _batch_grid(policy="flag"):
+    l = 3
+    shared = dict(mu=0.4, gamma=0.8, iterations=500, runs=2, seed=11,
+                  on_divergence=policy)
+    quantizer_grid = [
+        quantizers.anq(0.25, 0.01, l),
+        # agent by agent: every selection scheme and two index specs;
+        # passes DIVERGENCE_LIMIT in run 1
+        [quantizers.randc(2, l), quantizers.gossip(0.6, l),
+         quantizers.sparsifier(0.5, l), quantizers.qsgd(4, l),
+         quantizers.uniform(0.5, l), quantizers.anq(0.5, 0.01, l)],
+        quantizers.uniform(0.5, l),
+        quantizers.anq(1.0, 0.01, l),     # passes DIVERGENCE_LIMIT, run 1
+        quantizers.identity(l),
+        quantizers.anq(0.0, 0.05, l),     # omega = 0: the linear map
+        quantizers.uniform(1e-20, l),     # IndexRange in round 0
+        quantizers.anq(4.0, 0.02, l),     # passes DIVERGENCE_LIMIT, run 2
+        [quantizers.randc(1, l), quantizers.uniform(1e-20, l)] * 3,
+        quantizers.identity(l, b_hp=16),
+    ]
+    configs = [RunConfig(quantizer=q, **shared) for q in quantizer_grid]
+    # step size and mixing parameter may differ within a batch
+    configs.append(RunConfig(**{**shared, "mu": 0.3, "gamma": 1.0,
+                                "quantizer": quantizers.anq(0.25, 0.01, l)}))
+    return configs
+
+
+def _assert_same_result(got, want):
+    for field in ("msd", "bits", "chi_sq", "w_opt"):
+        assert np.array_equal(getattr(got, field), getattr(want, field),
+                              equal_nan=True), field
+    assert (got.diverged, got.diverged_at, got.runs_used) == \
+        (want.diverged, want.diverged_at, want.runs_used)
+    assert got.config == want.config
+
+
+def test_batched_configs_equal_separate_runs_bitwise():
+    top, basis, comb = _batch_network()
+    models = make_models(6, 3)
+    configs = _batch_grid()
+    batched = learning.run(configs, models, basis, comb)
+    assert len(batched) == len(configs)
+    for cfg, got in zip(configs, batched):
+        _assert_same_result(got, learning.run(cfg, models, basis, comb))
+    diverged = {k: (r.diverged_at, r.runs_used)
+                for k, r in enumerate(batched) if r.diverged}
+    assert diverged == {1: (155, 1), 3: (427, 1), 6: (1, 1), 7: (431, 2),
+                        8: (1, 1)}
+    # the audit mode keeps and checks replicas of every config's network
+    audited = learning.run(configs[:4], models, basis, comb, debug=True)
+    for got, want in zip(audited, batched):
+        _assert_same_result(got, want)
+
+
+def test_batch_draws_each_cell_once(monkeypatch):
+    top, basis, comb = _batch_network()
+    cells, steps = [], []
+    real_stream, real_step = StreamField.stream, learning.step
+
+    def counting_stream(self, *args):
+        cells.append(args)
+        return real_stream(self, *args)
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(StreamField, "stream", counting_stream)
+    monkeypatch.setattr(learning, "step", counting_step)
+    configs = [RunConfig(mu=0.02, gamma=0.8, iterations=30, runs=2, seed=4,
+                         quantizer=q)
+               for q in (quantizers.uniform(0.1, 3), quantizers.anq(0.5, 0.01, 3),
+                         quantizers.identity(3), quantizers.uniform(0.2, 3))]
+    learning.run(configs, make_models(6, 3), basis, comb)
+    assert len(steps) == 2 * 30
+    assert len(cells) == len(set(cells)) * 2 == 2 * 2 * 30 * 6
+
+
+def test_batch_raises_the_first_diverging_config():
+    top, basis, comb = _batch_network()
+    models = make_models(6, 3)
+    grid = _batch_grid("raise")
+    # sequential runs would raise in grid[1] (round 155) before reaching
+    # grid[6], which leaves the exact range in round 0
+    with pytest.raises(learning.NonFinite) as exc:
+        learning.run(grid, models, basis, comb)
+    assert exc.value.iteration == 155 and exc.value.__cause__ is None
+    with pytest.raises(learning.NonFinite) as exc:
+        learning.run([grid[0], grid[6], grid[3]], models, basis, comb)
+    assert exc.value.iteration == 1
+    assert isinstance(exc.value.__cause__, quantizers.IndexRange)
+    # a flagged config ahead of the raising one does not stop the batch
+    flagged = RunConfig(**{**vars(grid[3]), "on_divergence": "flag"})
+    with pytest.raises(learning.NonFinite) as exc:
+        learning.run([flagged, grid[6]], models, basis, comb)
+    assert exc.value.iteration == 1
+
+
+@pytest.mark.parametrize("field, value", [("seed", 12), ("runs", 3),
+                                          ("iterations", 499)])
+def test_batch_rejects_configs_that_do_not_share_draws(field, value):
+    top, basis, comb = _batch_network()
+    first = _batch_grid()[0]
+    other = RunConfig(**{**vars(first), field: value})
+    with pytest.raises(learning.BatchMismatch, match="seed, runs and iterations"):
+        learning.run([first, other], make_models(6, 3), basis, comb)
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,43 @@ def test_batch_matches_per_vector_path():
             assert np.array_equal(recon[r], qz.reconstruct(spec, msg))
 
 
+def test_batch_of_spec_stacks_matches_each_spec():
+    # one call over an (m, n, L) stack, spec j on stack j, with per-spec
+    # parameter columns; anq mixes omega = 0 (linear) and omega > 0 stacks
+    rng = np.random.default_rng(67)
+    anqs = [qz.anq(w, e, 5) for w in (0.0, 0.1, 0.25, 1.0, 4.0)
+            for e in (0.005, 0.02, 0.1, 0.5)]
+    uniforms = [qz.uniform(d, 5) for d in (0.003, 0.07, 1.0)]
+    identities = [qz.identity(5), qz.identity(5, b_hp=16)]
+    for specs in (anqs, uniforms, identities):
+        scale = rng.uniform(0.01, 10.0, (len(specs), 7, 1))
+        xs = rng.normal(0, 0.5, (len(specs), 7, 5)) * scale
+        us = rng.random(xs.shape)
+        costs, recon = qz.quantize_batch(specs, xs, us)
+        assert costs.shape == (len(specs), 7) and recon.shape == xs.shape
+        for j, spec in enumerate(specs):
+            want = qz.quantize_batch(spec, xs[j], us[j])
+            assert np.array_equal(costs[j], want[0])
+            assert np.array_equal(recon[j], want[1])
+
+
+def test_batch_of_spec_stacks_names_out_of_range_vectors():
+    # the omega = 0 stack has cells of width 2e-20
+    specs = [qz.anq(0.25, 0.1, 2), qz.anq(0.0, 1e-20, 2), qz.anq(0.0, 0.1, 2)]
+    xs = np.full((3, 4, 2), 0.5)
+    xs[1, :2] = 0.0      # zero sits in the exact range at any cell width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qz.IndexRange) as exc:
+            qz.quantize_batch(specs, xs, np.full(xs.shape, 0.5))
+    assert exc.value.rows.tolist() == [[False] * 4, [False, False, True, True],
+                                       [False] * 4]
+    with pytest.raises(qz.SchemeMismatch):
+        qz.quantize_batch([qz.uniform(0.1, 2), qz.identity(2)], xs[:2], xs[:2])
+    with pytest.raises(qz.SpecError):
+        qz.quantize_batch(specs, xs[:2], xs[:2])
+
+
 def test_batch_rejects_unsupported_schemes_and_shapes():
     with pytest.raises(qz.SchemeMismatch):
         qz.quantize_batch(qz.qsgd(2, 3), np.zeros((2, 3)), np.zeros((2, 3)))
