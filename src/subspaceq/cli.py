@@ -468,19 +468,20 @@ def _canned_inputs(dim, rng):
 
 
 def cmd_quantizer_test(spec_text, trials, dim, b_hp, seed) -> int:
-    try:
+    rng = setup_rng(seed, 3)
+    try:    # SpecError, a trial count below 1, an input out of exact range
         spec = quantizers.parse_spec(spec_text, dim, b_hp)
-    except quantizers.SpecError as exc:
+        inputs = _canned_inputs(dim, rng)
+        moments = [quantizers.empirical_moments(spec, x, rng, trials) for x in inputs]
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     budget = quantizers.noise_budget(spec)
-    rng = setup_rng(seed, 3)
     failures = 0
     print(f"scheme {quantizers.spec_string(spec)}  dim={dim}  trials={trials}")
     print(f"declared budget: beta_sq={budget.beta_sq:.6g} "
           f"sigma_sq={budget.sigma_sq:.6g}")
-    for idx, x in enumerate(_canned_inputs(dim, rng)):
-        mom = quantizers.empirical_moments(spec, x, rng, trials)
+    for idx, (x, mom) in enumerate(zip(inputs, moments)):
         bias_ok = bool(np.all(np.abs(mom["mean_err"]) <= 4 * mom["se_mean"] + 1e-12))
         cap = budget.beta_sq * float(x @ x) + budget.sigma_sq
         mse_ok = mom["mse"] <= cap + 4 * mom["se_mse"] + 1e-12

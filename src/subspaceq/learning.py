@@ -103,10 +103,13 @@ class RunConfig:
         q = self.quantizer
         if isinstance(q, quantizers.QuantizerSpec):
             return [q] * n
-        q = list(q)
+        if not (isinstance(q, (list, tuple))
+                and all(isinstance(s, quantizers.QuantizerSpec) for s in q)):
+            raise ValueError("quantizer must be a QuantizerSpec or a list of "
+                             f"one QuantizerSpec per agent, got {q!r:.80}")
         if len(q) != n:
             raise ValueError(f"need one quantizer spec per agent, got {len(q)} for {n}")
-        return q
+        return list(q)
 
 
 class NetworkState:
@@ -210,90 +213,57 @@ def _draw_psi(w, arrays, mu, streams, iteration):
     return w + mu * u * err[:, None]
 
 
-def _shared_batch_spec(specs):
-    """The spec all agents share when it has a stacked quantize path, else
-    None. Specs compare by value, so equal but distinct objects share."""
-    first = specs[0]
-    if first.kind in quantizers.BATCH_KINDS and all(s == first for s in specs):
-        return first
-    return None
-
-
-# quantize groups in stacking order; "message" quantizes agent by agent
-_GROUPS = ("identity", "uniform", "anq", "message")
-
-
-def _group(specs):
-    shared = _shared_batch_spec(specs)
-    return "message" if shared is None else shared.kind
-
-
-def _quantize_groups(config_specs, n):
-    """The quantize work of one round over configs stacked as blocks of n
-    rows: (kind, rows, specs) for each run of consecutive configs of one
-    _group kind. A stacked kind holds each config's shared spec, "message"
-    every row's own spec."""
-    groups = []
-    for b, specs in enumerate(config_specs):
-        kind = _group(specs)
-        if not groups or groups[-1][0] != kind:
-            groups.append((kind, [], []))
-        groups[-1][1].append(b)
-        groups[-1][2].extend(specs if kind == "message" else specs[:1])
-    return [(kind, slice(members[0] * n, (members[-1] + 1) * n), specs)
-            for kind, members, specs in groups]
+def _schemes(specs, n):
+    """The quantize work of a stack whose row r is agent r % n's, quantized
+    by specs[r]: (kind, rows, their agents, their specs) for each scheme
+    present, the specs but randc's as a quantizers._SpecRows with its
+    parameter columns; and the agents whose QUANTIZE uniforms they read."""
+    kinds = np.array([s.kind for s in specs])
+    schemes = []
+    for kind in sorted(set(kinds), key=quantizers.KINDS.index):
+        rows = np.flatnonzero(kinds == kind)
+        chosen = [specs[r] for r in rows]
+        schemes.append((kind, rows, rows % n, chosen if kind == "randc"
+                        else quantizers._SpecRows(chosen)))
+    readers = np.flatnonzero(~np.isin(kinds, ("identity", "randc"))) % n
+    return schemes, np.unique(readers).tolist()
 
 
 def _flagged_batch(specs, xs, us):
-    """quantizers.quantize_batch over a stack of configs, where a config with
-    a level index beyond the exact range gets NaN costs and a zero update
-    instead of failing the others."""
+    """quantizers.quantize_batch over rows, where a row with a level index
+    beyond the exact range gets NaN cost and a zero update on its own."""
     try:
         return quantizers.quantize_batch(specs, xs, us)
     except quantizers.IndexRange as exc:
-        ok = ~np.any(exc.rows, axis=1)
-        costs, recon = np.full(xs.shape[:2], np.nan), np.zeros(xs.shape)
+        ok = ~exc.rows
+        costs, recon = np.full(xs.shape[0], np.nan), np.zeros(xs.shape)
         if ok.any():
             costs[ok], recon[ok] = quantizers.quantize_batch(
                 [s for s, keep in zip(specs, ok) if keep], xs[ok], us[ok])
         return costs, recon
 
 
-def _quantize_all(groups, chi, streams, iteration, n):
+def _quantize_all(work, chi, streams, iteration, n):
     """Broadcast phase: quantize every row's innovation against its agent's
-    stream. Each stacked group (_quantize_groups) is one quantize_batch call
-    over all its configs, with every agent's uniform draws made once and
-    shared; "message" rows quantize one by one. Both are bit-identical to
-    quantizing agent by agent. A row whose level index would leave the exact
-    range (quantizers.IndexRange) gets NaN bits."""
-    rows, l = chi.shape
-    bits = np.empty(rows)
-    delta = np.empty((rows, l))
-    us = None
-    for kind, block, specs in groups:
-        if kind == "message":
-            for r, spec in zip(range(block.start, block.stop), specs):
-                rng = streams.stream(iteration, r % n, QUANTIZE)
-                try:
-                    msg = quantizers.quantize(spec, chi[r], rng)
-                except quantizers.IndexRange:
-                    bits[r], delta[r] = np.nan, 0.0
-                    continue
+    stream, bit-identical to quantizing agent by agent. work is _schemes of
+    the stack. Each agent's uniforms are drawn once for all its rows; each
+    scheme but randc is one quantize_batch call, and randc rows quantize one
+    by one. A row whose level index would leave the exact range gets NaN."""
+    schemes, readers = work
+    bits = np.empty(chi.shape[0])
+    delta = np.empty(chi.shape)
+    us = np.empty((n, chi.shape[1]))
+    for k in readers:
+        us[k] = streams.stream(iteration, k, QUANTIZE).random(chi.shape[1])
+    for kind, rows, agents, specs in schemes:
+        if kind == "randc":
+            for r, k, spec in zip(rows.tolist(), agents.tolist(), specs):
+                msg = quantizers.quantize(spec, chi[r],
+                                          streams.stream(iteration, k, QUANTIZE))
                 bits[r] = msg.bit_cost
                 delta[r] = quantizers.reconstruct(spec, msg)
-            continue
-        xs = chi[block].reshape(-1, n, l)
-        if kind == "identity":
-            costs, recon = quantizers.quantize_batch(specs, xs)
-        else:
-            if us is None:
-                us = np.empty((n, l))
-                for k in range(n):
-                    us[k] = streams.stream(iteration, k, QUANTIZE).random(l)
-            costs, recon = _flagged_batch(specs, xs,
-                                          np.repeat(us[None], len(specs), 0))
-        bits[block] = costs.ravel()
-        delta[block] = recon.reshape(-1, l)
+        else:   # identity ignores the (undrawn) uniforms of its agents
+            bits[rows], delta[rows] = _flagged_batch(specs, chi[rows], us[agents])
     return bits, delta
 
 
@@ -302,7 +272,7 @@ class _Plan:
     """What stays fixed across the rounds of one batch of configs."""
 
     arrays: tuple                 # _model_arrays(models)
-    groups: list                  # _quantize_groups of the stacked configs
+    work: tuple                   # _schemes of the stacked rows
     nb_index: np.ndarray          # (rows, d) row indices matching the blocks
 
 
@@ -318,18 +288,20 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
     agent's neighbor blocks (n, d_max, l, l) with their agent indices in its
     plan. The batched driver stacks several configs' networks in one state,
     as blocks of n rows with mu and gamma as matching columns, and its plan
-    holds their quantize groups. streams is the StreamField of the enclosing
-    Monte-Carlo repetition. Returns (per-row message bits, per-row
-    ||chi||^2); bits are NaN where a level index left the exact range.
+    groups their rows by quantizer scheme (_schemes), one quantize_batch
+    call per scheme but randc; without a plan, specs are the agents' specs.
+    streams is the StreamField of the enclosing Monte-Carlo repetition.
+    Returns (per-row message bits, per-row ||chi||^2); bits are NaN where a
+    level index left the exact range.
     """
     n = state.n
     if _plan is None:
-        _plan = _Plan(_model_arrays(models), _quantize_groups([specs], n),
+        _plan = _Plan(_model_arrays(models), _schemes(list(specs), n),
                       np.broadcast_to(np.arange(n), (n, n)))
 
     psi = _draw_psi(state.w, _plan.arrays, mu, streams, iteration)
     chi = psi - state.phi
-    bits, delta = _quantize_all(_plan.groups, chi, streams, iteration, len(models))
+    bits, delta = _quantize_all(_plan.work, chi, streams, iteration, len(models))
 
     state.phi += delta
     if state.copies is None:
@@ -385,18 +357,18 @@ class _Batch:
     mu: np.ndarray                # (rows, 1)
     gamma: np.ndarray             # (rows, 1)
     specs: list                   # each row's quantizer spec
-    groups: list                  # _quantize_groups
+    work: tuple                   # _schemes of the rows
 
 
-def _stack(configs, specs, n):
-    """The _Batch of configs (with their per-agent specs) in this order."""
+def _stack(configs, specs, live, n):
+    """The _Batch of the configs at indices live (specs[b] holding config
+    b's per-agent specs), in this order."""
     def column(values):
         return np.repeat(values, n)[:, None]
 
-    return _Batch(len(configs), column([c.mu for c in configs]),
-                  column([c.gamma for c in configs]),
-                  [s for config_specs in specs for s in config_specs],
-                  _quantize_groups(specs, n))
+    rows = [s for b in live for s in specs[b]]
+    return _Batch(len(live), column([configs[b].mu for b in live]),
+                  column([configs[b].gamma for b in live]), rows, _schemes(rows, n))
 
 
 def _monte_carlo(configs, models, prepare, replicas=False) -> list:
@@ -410,14 +382,14 @@ def _monte_carlo(configs, models, prepare, replicas=False) -> list:
     returns the deviation reference w_opt (n, l) and rounds(batch), which
     gives for a _Batch the round function round_(state, streams, i): it
     advances the stacked NetworkState by round i in place and returns
-    (per-row message bits, per-row ||chi||^2). Configs are stacked in
-    _GROUPS order, so that each quantize group is one call. Every
-    repetition starts from w = phi = 0 with its own StreamField.
+    (per-row message bits, per-row ||chi||^2). Configs stack in list order,
+    their rows grouped by quantizer scheme (_schemes) for the quantize
+    phase. Every repetition starts from w = phi = 0 with its own StreamField.
 
     Divergence is per config. Round i diverges a config when its deviation
     leaves the finite range or its |w| passes DIVERGENCE_LIMIT after it, or
-    when one of its level indices would leave the exact range (NaN bits,
-    from quantizers.IndexRange); either way diverged_at = i + 1, and the
+    when one of its rows' level indices would leave the exact range (NaN
+    bits, from quantizers.IndexRange); either way diverged_at = i + 1, and the
     config leaves the stack while the others go on. Its Monte-Carlo loop
     stops there: its result averages what its repetitions recorded, with msd
     inf and bits and chi_sq NaN past the last completed round. At the end,
@@ -441,9 +413,7 @@ def _monte_carlo(configs, models, prepare, replicas=False) -> list:
                 raise ValueError(f"quantizer {k} has dim {s.dim}, agents have {l}")
     w_opt, rounds = prepare(n, l)
 
-    # accumulators in stacking order: position p holds config order[p]
-    order = sorted(range(len(configs)), key=lambda b: _GROUPS.index(_group(specs[b])))
-    count, t_iters = len(order), first.iterations
+    count, t_iters = len(configs), first.iterations
     msd_acc = np.zeros((count, t_iters + 1))
     bits_acc = np.zeros((count, t_iters, n))
     chi_acc = np.zeros((count, t_iters, n))
@@ -454,13 +424,12 @@ def _monte_carlo(configs, models, prepare, replicas=False) -> list:
     dev0 = np.sum((np.zeros((n, l)) - w_opt) ** 2) / n
 
     for rep in range(first.runs):
-        live = [p for p in range(count) if diverged_at[p] is None]
+        live = [b for b in range(count) if diverged_at[b] is None]
         if not live:
             break
         streams = StreamField(first.seed, rep)
         state = NetworkState(len(live) * n, l, replicas=replicas)
-        round_ = rounds(_stack([configs[order[p]] for p in live],
-                               [specs[order[p]] for p in live], n))
+        round_ = rounds(_stack(configs, specs, live, n))
         where = slice(None) if len(live) == count else np.array(live)
         msd_acc[where, 0] += dev0
         for i in range(t_iters):
@@ -480,26 +449,20 @@ def _monte_carlo(configs, models, prepare, replicas=False) -> list:
             broke = lost | ~np.isfinite(dev) | (
                 np.max(np.abs(state.w.reshape(m, -1)), axis=1) > DIVERGENCE_LIMIT)
             for j in np.flatnonzero(broke):
-                p = live[j]
-                diverged_at[p], runs_done[p] = i + 1, rep + 1
-                completed[p] = i if lost[j] else i + 1
+                b = live[j]
+                diverged_at[b], runs_done[b] = i + 1, rep + 1
+                completed[b] = i if lost[j] else i + 1
                 if lost[j]:
-                    causes[p] = quantizers.IndexRange(
+                    causes[b] = quantizers.IndexRange(
                         f"a level index would reach 2**53 in round {i}")
             stay = np.flatnonzero(~broke)
             live = [live[j] for j in stay]
             if not live:
                 break
             _keep_configs(state, stay, n)
-            round_ = rounds(_stack([configs[order[p]] for p in live],
-                                   [specs[order[p]] for p in live], n))
+            round_ = rounds(_stack(configs, specs, live, n))
             where = np.array(live)
 
-    position = {b: p for p, b in enumerate(order)}
-    for b, config in enumerate(configs):
-        p = position[b]
-        if diverged_at[p] is not None and config.on_divergence == "raise":
-            raise NonFinite(diverged_at[p]) from causes[p]
     # averaged in place; each result holds views of its config's rows
     divisor = np.array(runs_done, dtype=float)
     msd_acc /= divisor[:, None]
@@ -507,16 +470,17 @@ def _monte_carlo(configs, models, prepare, replicas=False) -> list:
     chi_acc /= divisor[:, None, None]
     results = []
     for b, config in enumerate(configs):
-        p = position[b]
-        msd, bits_avg, chi_avg = msd_acc[p], bits_acc[p], chi_acc[p]
-        if diverged_at[p] is not None:
-            msd[completed[p] + 1:] = np.inf
-            bits_avg[completed[p]:] = np.nan
-            chi_avg[completed[p]:] = np.nan
+        if diverged_at[b] is not None and config.on_divergence == "raise":
+            raise NonFinite(diverged_at[b]) from causes[b]
+        msd, bits_avg, chi_avg = msd_acc[b], bits_acc[b], chi_acc[b]
+        if diverged_at[b] is not None:
+            msd[completed[b] + 1:] = np.inf
+            bits_avg[completed[b]:] = np.nan
+            chi_avg[completed[b]:] = np.nan
         results.append(RunResult(
             msd=msd, bits=bits_avg, chi_sq=chi_avg, w_opt=w_opt,
-            diverged=diverged_at[p] is not None, diverged_at=diverged_at[p],
-            runs_used=runs_done[p], config=config))
+            diverged=diverged_at[b] is not None, diverged_at=diverged_at[b],
+            runs_used=runs_done[b], config=config))
     return results
 
 
@@ -546,7 +510,7 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     RunResult per config. Draws are keyed by repetition, iteration and
     agent, never by config, so such configs consume the same draws: they
     advance together, each round drawing every stream cell once and
-    quantizing each scheme's configs in one stacked call, and every result
+    quantizing each scheme's rows in one stacked call, and every result
     is bit-identical to a run of its config alone. A config that diverges
     stops alone; see _monte_carlo for the divergence policy of a batch.
     """
@@ -567,7 +531,7 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
             m = batch.count
             index = (nb_index + n * np.arange(m)[:, None, None]).reshape(m * n, -1)
             blocks = np.tile(nb_blocks, (m, 1, 1, 1))
-            plan = _Plan(arrays, batch.groups, index)
+            plan = _Plan(arrays, batch.work, index)
             neighbor_mask = None if mask is None else np.kron(np.eye(m), mask)
 
             def round_(state, streams, i):
@@ -606,7 +570,7 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
             def round_(state, streams, i):
                 psi = _draw_psi(state.w, arrays, batch.mu, streams, i)
                 chi = psi - state.phi
-                bits, delta = _quantize_all(batch.groups, chi, streams, i, n)
+                bits, delta = _quantize_all(batch.work, chi, streams, i, n)
                 state.phi += delta
                 state.w = ((1.0 - batch.gamma) * state.phi
                            + batch.gamma * (a_scalar @ state.phi))

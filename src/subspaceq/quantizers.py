@@ -51,8 +51,6 @@ __all__ = [
 ]
 
 KINDS = ("identity", "uniform", "anq", "randc", "gossip", "sparsifier", "qsgd")
-# schemes whose per-row work is pure elementwise arithmetic (quantize_batch)
-BATCH_KINDS = ("identity", "uniform", "anq")
 # level indices stay below this magnitude, where float64 holds every integer
 # and index_bit_lengths is exact
 MAX_INDEX = 2**53
@@ -293,26 +291,30 @@ def _is_linear(spec):
     return spec.kind == "uniform" or spec.omega == 0.0
 
 
+def _column(values, shape=(1, 1)):
+    """One spec's parameter as it is; m specs' as an (m,) + shape array that
+    meets stack j of an (m, k, L) input (shape (1,) meets per-row costs)."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).reshape((len(values),) + shape)
+
+
 def _index_maps(specs):
     """Forward map g and level-to-value map y of uniform or anq specs; level
     n stands for the value y(n), and g(x) lies in [m, m + 1) for the cell
     [y(m), y(m + 1)) that holds x.
 
-    The specs must all be linear (_is_linear) or all logarithmic. One spec
-    gives maps of any array. m specs give maps of an (m, n, L) stack, spec j
-    mapping stack j, with their parameters held as (m, 1, 1) columns; every
-    element goes through its own spec's operations in the same order, so
-    the results equal those of the single-spec maps bit for bit."""
-    def col(values):
-        return values[0] if len(values) == 1 else np.array(values)[:, None, None]
-
+    The specs must all be linear (_is_linear) or all logarithmic. m specs
+    map an (m, k, L) stack, spec j stack j, through parameter _column's;
+    every element goes through its own spec's operations in the same order,
+    so the results equal those of the single-spec maps bit for bit."""
     if _is_linear(specs[0]):
-        d = col([s.delta if s.kind == "uniform" else 2.0 * s.eta for s in specs])
+        d = _column([s.delta if s.kind == "uniform" else 2.0 * s.eta for s in specs])
         return (lambda t: t / d), (lambda m: d * m)
-    ratio = col([s.omega / s.eta for s in specs])
-    scale = col([2.0 * math.asinh(s.omega) for s in specs])
-    spread = col([s.eta / s.omega for s in specs])
-    half = col([math.asinh(s.omega) for s in specs])
+    ratio = _column([s.omega / s.eta for s in specs])
+    scale = _column([2.0 * math.asinh(s.omega) for s in specs])
+    spread = _column([s.eta / s.omega for s in specs])
+    half = _column([math.asinh(s.omega) for s in specs])
 
     # compander_forward and compander_inverse, with columns for parameters
     def g(t):
@@ -324,34 +326,113 @@ def _index_maps(specs):
     return g, y
 
 
-def _round_indices(x, g, y, u):
-    """Vectorized two-point rounding of x through the maps of _index_maps;
-    u are uniform draws shaped like x, or a stack of such rows, one rounding
-    of x per row. Returns the level indices and the _floor_index mask of
-    vectors out of the exact range."""
-    m, bad = _floor_index(g(x))
-    y0 = y(m)
-    width = y(m + 1) - y0
-    if np.any(width <= 0):
-        raise DegenerateCell("nonpositive cell width")
-    p_up = np.clip((x - y0) / width, 0.0, 1.0)
-    return m + (u < p_up), bad
+def _index_rows(specs):
+    """(x, u) -> (level indices, reconstructions, _floor_index mask of the
+    vectors out of the exact range): vectorized two-point rounding of x on
+    the uniforms u through the maps of uniform or anq specs. u is shaped
+    like x, or stacks such rows, one rounding of x per row. A stack that
+    mixes linear and logarithmic specs rounds each part through its maps."""
+    linear = np.array([_is_linear(s) for s in specs])
+    if linear.all() or not linear.any():
+        g, y = _index_maps(specs)
+
+        def rows(x, u):
+            m, bad = _floor_index(g(x))
+            y0 = y(m)
+            width = y(m + 1) - y0
+            if np.any(width <= 0):
+                raise DegenerateCell("nonpositive cell width")
+            idx = m + (u < np.clip((x - y0) / width, 0.0, 1.0))
+            return idx, y(idx), bad
+        return rows
+    parts = [(part, _index_rows([s for s, p in zip(specs, part) if p]))
+             for part in (linear, ~linear)]
+
+    def mixed(xs, us):
+        idx = np.empty(xs.shape, dtype=np.int64)
+        recon = np.empty(xs.shape)
+        bad = np.empty(xs.shape[:-1], dtype=bool)
+        for part, rows in parts:
+            idx[part], recon[part], bad[part] = rows(xs[part], us[part])
+        return idx, recon, bad
+    return mixed
 
 
-def _round_stack(specs, xs, us):
-    """Level indices, reconstructions and out-of-range mask of an (m, n, L)
-    stack whose specs all take the linear map or all the logarithmic one."""
-    g, y = _index_maps(specs)
-    idx, bad = _round_indices(xs, g, y, us)
-    return idx, y(idx), bad
+def _kernel(specs):
+    """The row kernel of specs of one scheme but randc, parameters built
+    once: (xs, us) -> (per-row bit costs, reconstructions, payload parts).
+
+    One spec quantizes every row of xs, m specs an (m, k, L) stack, spec j
+    on stack j. us are the uniforms quantize consumes, shaped like xs or
+    stacking rows against one x; gossip reads us[..., 0], identity none.
+    parts are the level indices, sent flags, selection mask or (norm,
+    signs, levels). An index beyond the exact range raises IndexRange."""
+    k, L = specs[0].kind, specs[0].dim
+    if any((s.kind, s.dim) != (k, L) for s in specs):
+        raise SchemeMismatch("a stack of specs takes one scheme and dim")
+    if k == "randc":
+        raise SchemeMismatch("no batch path for scheme 'randc'")
+    words = _column([float(L * s.b_hp) for s in specs], (1,))
+
+    if k == "identity":
+        return lambda xs, us: (np.zeros(xs.shape[:-1]) + words, xs.copy(), None)
+
+    if k in ("uniform", "anq"):
+        index_rows = _index_rows(specs)
+
+        def rounded(xs, us):
+            idx, recon, bad = index_rows(xs, us)
+            if bad.any():
+                raise _index_range(bad)
+            return _variable_rate_cost(idx), recon, idx
+        return rounded
+
+    if k == "gossip":
+        q = _column([s.q for s in specs])
+
+        def gossiped(xs, us):
+            sent = us[..., :1] < q
+            return (np.where(sent[..., 0], words, 0.0),
+                    np.where(sent, xs / q, 0.0), sent[..., 0])
+        return gossiped
+
+    if k == "sparsifier":
+        qs = _column([np.asarray(s.qs) for s in specs], (1, L))
+        per = _column([s.b_hp + _ceil_log2(L) for s in specs], (1,))
+
+        def sparsified(xs, us):
+            mask = us < qs
+            return ((mask.sum(axis=-1) * per).astype(float),
+                    np.where(mask, xs / qs, 0.0), mask)
+        return sparsified
+
+    # qsgd; a zero-norm row reconstructs to 0 and costs only the norm word
+    s = _column([sp.s for sp in specs])
+    norm_word = _column([float(sp.b_hp) for sp in specs], (1,))
+    full = _column([float(sp.b_hp + L * (1 + _ceil_log2(sp.s))) for sp in specs],
+                   (1,))
+
+    def leveled(xs, us):
+        norm = np.sqrt(np.vecdot(xs, xs))
+        zero = norm == 0.0
+        # unbiased rounding of s |x| / norm onto the levels 0..s
+        t = s * np.abs(xs) / np.where(zero, 1.0, norm)[..., None]
+        levels = np.floor(t).astype(np.int64)
+        levels = levels + (us < t - levels)
+        signs = np.sign(xs).astype(np.int8)
+        recon = norm[..., None] * signs * levels / s
+        return np.where(zero, norm_word, full), recon, (norm, signs, levels)
+    return leveled
 
 
-def _qsgd_levels(x, norm, s, u):
-    """qsgd's unbiased rounding of s |x| / norm onto the levels 0..s; u as
-    for _round_indices."""
-    t = s * np.abs(x) / norm
-    m = np.floor(t).astype(np.int64)
-    return m + (u < t - m)
+class _SpecRows(tuple):
+    """Specs of one scheme for quantize_batch that keep their row kernel, so
+    that repeated calls build the parameter columns once."""
+
+    def __new__(cls, specs):
+        rows = super().__new__(cls, specs)
+        rows.kernel = _kernel(rows)
+        return rows
 
 
 def index_bit_lengths(indices) -> np.ndarray:
@@ -373,6 +454,16 @@ def _variable_rate_cost(indices):
 # ---------------------------------------------------------------------------
 # the schemes
 
+def _checked(spec, x):
+    """x as a float L-vector, or SpecError / ValueError as quantize raises."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.dim,):
+        raise SpecError(f"input shape {x.shape} does not match dim {spec.dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("quantizer input must be finite")
+    return x
+
+
 def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
     """Quantize an L-vector, accounting the realized bit cost.
 
@@ -382,22 +473,12 @@ def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
     charges (b_hp + ceil(log2 L)) per selected coordinate; the expectations of
     both match the schemes' declared average budgets. A zero-norm qsgd input
     degenerates to an exact zero message costing only the norm word.
+
+    Every scheme but randc is the one-row call of the quantize_batch kernel,
+    on rng.random() for gossip and rng.random(L) for the rest.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise SpecError(f"input shape {x.shape} does not match dim {spec.dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("quantizer input must be finite")
+    x = _checked(spec, x)
     L, k = spec.dim, spec.kind
-
-    if k == "identity":
-        return QuantizedMessage(k, L, float(L * spec.b_hp), values=x.copy())
-
-    if k in ("uniform", "anq"):
-        n, bad = _round_indices(x, *_index_maps([spec]), rng.random(L))
-        if bad:
-            raise _index_range(bad)
-        return QuantizedMessage(k, L, float(_variable_rate_cost(n)), indices=n)
 
     if k == "randc":
         coords = rng.permutation(L)[: spec.c]
@@ -406,91 +487,60 @@ def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
         cost = float(spec.c * (spec.b_hp + _ceil_log2(L)))
         return QuantizedMessage(k, L, cost, values=values, coords=np.sort(coords))
 
-    if k == "gossip":
-        sent = rng.random() < spec.q
-        values = x / spec.q if sent else np.zeros(L)
-        return QuantizedMessage(k, L, float(L * spec.b_hp) if sent else 0.0, values=values)
-
-    if k == "sparsifier":
-        qs = np.asarray(spec.qs)
-        mask = rng.random(L) < qs
-        values = np.where(mask, x / qs, 0.0)
-        cost = float(mask.sum() * (spec.b_hp + _ceil_log2(L)))
-        return QuantizedMessage(k, L, cost, values=values, coords=np.flatnonzero(mask))
-
-    # qsgd
-    s = spec.s
-    norm = float(np.linalg.norm(x))
-    cost = float(spec.b_hp + L * (1 + _ceil_log2(s)))
-    if norm == 0.0:
+    if k == "qsgd" and np.vecdot(x, x) == 0.0:     # draws nothing
         return QuantizedMessage(
             k, L, float(spec.b_hp), norm=0.0,
             signs=np.zeros(L, dtype=np.int8), levels=np.zeros(L, dtype=np.int64),
         )
-    levels = _qsgd_levels(x, norm, s, rng.random(L))
-    signs = np.sign(x).astype(np.int8)
-    return QuantizedMessage(k, L, cost, norm=norm, signs=signs, levels=levels)
+    us = np.array([rng.random()]) if k == "gossip" else (
+        None if k == "identity" else rng.random(L))
+    cost, recon, parts = _kernel([spec])(x, us)
+    cost = float(cost)
+    if k in ("uniform", "anq"):
+        return QuantizedMessage(k, L, cost, indices=parts)
+    if k == "sparsifier":
+        return QuantizedMessage(k, L, cost, values=recon, coords=np.flatnonzero(parts))
+    if k == "qsgd":
+        return QuantizedMessage(k, L, cost, norm=float(parts[0]), signs=parts[1],
+                                levels=parts[2])
+    return QuantizedMessage(k, L, cost, values=recon)
 
 
 def quantize_batch(spec: QuantizerSpec, xs, us=None):
-    """Quantize a stack of vectors with one shared index-scheme spec.
+    """Quantize a stack of vectors with any scheme but randc, whose
+    per-vector permutation has no batch form (SchemeMismatch).
 
-    xs has shape (n, L). For uniform and anq, us must hold the n rows of
-    uniform draws, each obtained from that row's own generator via
-    rng.random(L) -- exactly what quantize would have consumed -- so the
-    result is bit-identical to quantizing row by row. identity takes no
-    randomness. Returns (bit_costs (n,), reconstructions (n, L)).
+    xs has shape (n, L). us must hold the n rows of uniform draws, each from
+    that row's own generator via rng.random(L) -- what quantize consumes;
+    gossip reads only the first column, as rng.random() equals
+    rng.random(L)[0] -- so the result is bit-identical to quantizing row by
+    row. identity takes no draws. Returns (bit_costs (n,), recons (n, L)).
 
-    spec may also be a sequence of m specs of one scheme. xs and us are then
-    (m, n, L) stacks, spec j quantizes xs[j] with the draws us[j], and the
-    results have shapes (m, n) and (m, n, L), stack j bit-identical to
-    quantize_batch(spec[j], xs[j], us[j]); anq specs with omega = 0 take the
-    linear map, the others the logarithmic one.
-
-    Only the schemes whose per-row work is pure elementwise arithmetic are
-    supported; selection schemes keep the per-vector path. A level index
-    beyond the exact range raises IndexRange, whose rows mark the vectors
-    concerned.
+    spec may also be a sequence of m specs of one scheme, spec j quantizing
+    xs[j] with us[j], where xs is an (m, L) stack of rows or an (m, n, L)
+    stack of stacks; results are shaped like xs without and with its last
+    axis. A level index beyond the exact range raises IndexRange, whose
+    rows mark the vectors concerned.
     """
     one = isinstance(spec, QuantizerSpec)
-    specs = [spec] if one else list(spec)
+    specs = spec if isinstance(spec, _SpecRows) else _SpecRows([spec] if one else spec)
     xs = np.asarray(xs, dtype=float)
-    if one:
-        xs = xs[None]
-        us = None if us is None else np.asarray(us, dtype=float)[None]
-    if xs.ndim != 3 or xs.shape[0] != len(specs):
-        raise SpecError(f"input shape {xs.shape[one:]} does not fit "
-                        f"{len(specs)} spec(s)")
-    L = xs.shape[-1]
-    for s in specs:
-        if L != s.dim:
-            raise SpecError(f"row length {L} does not match dim {s.dim}")
-    k = specs[0].kind
-    if any(s.kind != k for s in specs):
-        raise SchemeMismatch("a stack of specs takes one scheme")
-    if k not in BATCH_KINDS:
-        raise SchemeMismatch(f"no batch path for scheme {k!r}")
-    if k == "identity":
-        costs = np.array([float(L * s.b_hp) for s in specs])[:, None]
-        costs, recon = np.repeat(costs, xs.shape[1], axis=1), xs.copy()
-    else:
-        us = np.asarray(us, dtype=float)
-        if us.shape != xs.shape:
+    shape = xs.shape
+    if not (xs.ndim == 2 if one else
+            xs.ndim in (2, 3) and shape[0] == len(specs)):
+        raise SpecError(f"input shape {shape} does not fit {len(specs)} spec(s)")
+    if shape[-1] != specs[0].dim:
+        raise SpecError(f"row length {shape[-1]} does not match dim {specs[0].dim}")
+    stack = (len(specs), -1, shape[-1])
+    if specs[0].kind != "identity":
+        if np.shape(us) != shape:
             raise SpecError("need one uniform draw per entry")
-        linear = np.array([_is_linear(s) for s in specs])
-        if linear.all() or not linear.any():
-            idx, recon, bad = _round_stack(specs, xs, us)
-        else:
-            idx = np.empty(xs.shape, dtype=np.int64)
-            recon = np.empty(xs.shape)
-            bad = np.empty(xs.shape[:2], dtype=bool)
-            for part in (linear, ~linear):
-                idx[part], recon[part], bad[part] = _round_stack(
-                    [s for s, p in zip(specs, part) if p], xs[part], us[part])
-        if bad.any():
-            raise _index_range(bad[0] if one else bad)
-        costs = _variable_rate_cost(idx)
-    return (costs[0], recon[0]) if one else (costs, recon)
+        us = np.asarray(us, dtype=float).reshape(stack)
+    try:
+        costs, recon, _ = specs.kernel(xs.reshape(stack), us)
+    except IndexRange as exc:
+        raise _index_range(exc.rows.reshape(shape[:-1])) from None
+    return costs.reshape(shape[:-1]), recon.reshape(shape)
 
 
 def reconstruct(spec: QuantizerSpec, msg: QuantizedMessage) -> np.ndarray:
@@ -501,8 +551,6 @@ def reconstruct(spec: QuantizerSpec, msg: QuantizedMessage) -> np.ndarray:
     if k in ("uniform", "anq"):
         return _index_maps([spec])[1](msg.indices)
     if k == "qsgd":
-        if msg.norm == 0.0:
-            return np.zeros(spec.dim)
         return msg.norm * msg.signs * msg.levels / spec.s
     return msg.values.copy()
 
@@ -536,37 +584,21 @@ def coded_stream(msg: QuantizedMessage) -> codec.CodedStream:
 # Monte-Carlo contract machinery
 
 def sample_errors(spec: QuantizerSpec, x, rng, draws: int) -> np.ndarray:
-    """(draws, L) matrix of quantization errors x - Q(x), fully vectorized."""
-    x = np.asarray(x, dtype=float)
+    """(draws, L) matrix of quantization errors x - Q(x), fully vectorized:
+    every scheme but randc runs its quantize kernel on draws rows of
+    uniforms against x."""
+    x = _checked(spec, x)
     L, k = spec.dim, spec.kind
-    if k == "identity":
-        return np.zeros((draws, L))
-    if k in ("uniform", "anq"):
-        g, y = _index_maps([spec])
-        idx, bad = _round_indices(x, g, y, rng.random((draws, L)))
-        if bad.any():
-            raise _index_range(bad)
-        return x - y(idx)
     if k == "randc":
         keys = rng.random((draws, L))
         coords = np.argpartition(keys, spec.c - 1, axis=1)[:, : spec.c]
         recon = np.zeros((draws, L))
         np.put_along_axis(recon, coords, (L / spec.c) * x[coords], axis=1)
         return x - recon
-    if k == "gossip":
-        sent = rng.random(draws) < spec.q
-        return x - sent[:, None] * (x / spec.q)
-    if k == "sparsifier":
-        qs = np.asarray(spec.qs)
-        mask = rng.random((draws, L)) < qs
-        return x - mask * (x / qs)
-    # qsgd
-    s = spec.s
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
+    if k == "identity" or (k == "qsgd" and np.vecdot(x, x) == 0.0):
         return np.zeros((draws, L))
-    n = _qsgd_levels(x, norm, s, rng.random((draws, L)))
-    return x - norm * np.sign(x) * n / s
+    us = rng.random((draws, 1 if k == "gossip" else L))
+    return x - _kernel([spec])(x, us)[1]
 
 
 def empirical_moments(spec: QuantizerSpec, x, rng, draws: int, chunk: int = 20000):
@@ -575,6 +607,8 @@ def empirical_moments(spec: QuantizerSpec, x, rng, draws: int, chunk: int = 2000
     Returns a dict with componentwise mean error and its standard error, the
     mean squared norm error and its standard error.
     """
+    if draws < 1 or chunk < 1:
+        raise ValueError(f"need draws >= 1 and chunk >= 1, got {draws} and {chunk}")
     x = np.asarray(x, dtype=float)
     L = spec.dim
     s1 = np.zeros(L)

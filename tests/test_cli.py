@@ -311,3 +311,12 @@ def test_quantizer_test_uniform_and_identity(capsys):
 def test_quantizer_test_bad_spec(capsys):
     assert cli.main(["quantizer-test", "uniform:delta=-1"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_quantizer_test_rejects_trials_below_one(capsys, trials):
+    assert cli.main(["quantizer-test", "uniform:delta=0.2",
+                     "--trials", str(trials)]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "draws >= 1" in captured.err
+    assert "all contract checks passed" not in captured.out

@@ -64,6 +64,20 @@ def test_specs_for_broadcast_and_mismatch():
         cfg.specs_for(3)
 
 
+@pytest.mark.parametrize("quantizer", [
+    None, "uniform:delta=0.1", 3,
+    [quantizers.identity(2), "identity", quantizers.identity(2)]],
+    ids=["none", "str", "int", "str-element"])
+def test_specs_for_names_a_missing_or_wrong_quantizer(quantizer):
+    # not a bare TypeError, nor a length check that counts characters
+    cfg = RunConfig(mu=0.01, gamma=0.5, iterations=3, quantizer=quantizer)
+    with pytest.raises(ValueError, match="must be a QuantizerSpec"):
+        cfg.specs_for(3)
+    top, basis, comb = make_network(3, 2, mode="consensus-metropolis")
+    with pytest.raises(ValueError, match="must be a QuantizerSpec"):
+        learning.run(cfg, make_models(3, 2), basis, comb)
+
+
 def _entry(name, top, basis, comb):
     """run, or run_diffusion on the topology's Metropolis weights, as
     f(config, models)."""
@@ -307,8 +321,8 @@ def test_run_keeps_replicas_only_in_audit_mode(monkeypatch):
 
 
 def test_equal_specs_take_the_batched_path(monkeypatch):
-    # one quantize_batch call per round whenever all specs are equal, even
-    # as distinct objects; none when one agent differs
+    # one quantize_batch call per round whenever all specs share a scheme,
+    # equal or not
     n, l, iters, runs = 5, 2, 30, 2
     top, basis, comb = make_network(n, l, mode="consensus-metropolis")
     models = make_models(n, l)
@@ -339,7 +353,47 @@ def test_equal_specs_take_the_batched_path(monkeypatch):
     mixed = copies[:-1] + [quantizers.anq(0.25, 0.02, l)]
     learning.run(RunConfig(mu=0.02, gamma=0.8, iterations=iters, runs=runs,
                            quantizer=mixed, seed=4), models, basis, comb)
-    assert calls == []
+    assert len(calls) == iters * runs
+
+
+def test_one_batch_call_per_scheme_and_quantize_only_for_randc(monkeypatch):
+    # rows are grouped by scheme across configs and agents: each round makes
+    # one quantize_batch call per scheme present, and quantize (with its
+    # reconstruct) runs only for randc rows
+    top, basis, comb = _batch_network()
+    l = 3
+    batches, messages = [], []
+    real_batch = quantizers.quantize_batch
+
+    def counting_batch(specs, *args):
+        batches.append({s.kind for s in specs})
+        return real_batch(specs, *args)
+
+    def counting(real):
+        def call(spec, *args):
+            messages.append((real.__name__, spec.kind))
+            return real(spec, *args)
+        return call
+
+    monkeypatch.setattr(quantizers, "quantize_batch", counting_batch)
+    for name in ("quantize", "reconstruct"):
+        monkeypatch.setattr(quantizers, name, counting(getattr(quantizers, name)))
+    cycle = [quantizers.randc(2, l), quantizers.gossip(0.6, l),
+             quantizers.sparsifier([0.9, 0.5, 0.3], l), quantizers.qsgd(4, l),
+             quantizers.anq(0.0, 0.05, l), quantizers.anq(0.5, 0.01, l)]
+    configs = [RunConfig(mu=0.02, gamma=0.8, iterations=20, runs=2, seed=4,
+                         quantizer=q)
+               for q in (cycle, quantizers.uniform(0.1, l), quantizers.identity(l),
+                         quantizers.anq(0.25, 0.01, l), cycle[::-1])]
+    models = make_models(6, l)
+    batched = learning.run(configs, models, basis, comb)
+    kinds = ["identity", "uniform", "anq", "gossip", "sparsifier", "qsgd"]
+    assert batches == [{kind} for kind in kinds] * (2 * 20)
+    # randc holds agent 0 of the first config and agent 5 of the last
+    assert messages == [("quantize", "randc"), ("reconstruct", "randc")] * (2 * 2 * 20)
+    monkeypatch.undo()
+    for cfg, got in zip(configs, batched):
+        _assert_same_result(got, learning.run(cfg, models, basis, comb))
 
 
 def test_innovation_energy_scales_with_mu_squared():
@@ -528,10 +582,13 @@ def test_batch_draws_each_cell_once(monkeypatch):
 
     monkeypatch.setattr(StreamField, "stream", counting_stream)
     monkeypatch.setattr(learning, "step", counting_step)
+    # the selection schemes cycled over agents read the same uniforms
+    cycled = [quantizers.gossip(0.5, 3), quantizers.sparsifier([0.2, 0.7, 1.0], 3),
+              quantizers.qsgd(3, 3)] * 2
     configs = [RunConfig(mu=0.02, gamma=0.8, iterations=30, runs=2, seed=4,
                          quantizer=q)
                for q in (quantizers.uniform(0.1, 3), quantizers.anq(0.5, 0.01, 3),
-                         quantizers.identity(3), quantizers.uniform(0.2, 3))]
+                         quantizers.identity(3), cycled, quantizers.uniform(0.2, 3))]
     learning.run(configs, make_models(6, 3), basis, comb)
     assert len(steps) == 2 * 30
     assert len(cells) == len(set(cells)) * 2 == 2 * 2 * 30 * 6

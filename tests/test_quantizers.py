@@ -319,27 +319,72 @@ def test_rejects_bad_input():
         qz.quantize(qz.uniform(0.1, 2), np.array([np.nan, 0.0]), stream())
 
 
+@pytest.mark.parametrize("spec", all_specs(3), ids=lambda s: s.kind)
+def test_sample_errors_checks_input_like_quantize(spec):
+    with pytest.raises(qz.SpecError, match="does not match dim"):
+        qz.sample_errors(spec, np.ones(4), stream(), 2)
+    with pytest.raises(ValueError, match="finite"):
+        qz.sample_errors(spec, np.array([1.0, np.nan, 0.0]), stream(), 2)
+    with pytest.raises(ValueError, match="finite"):
+        qz.sample_errors(spec, np.array([np.inf, 0.0, 0.0]), stream(), 2)
+    assert qz.sample_errors(spec, np.ones(3), stream(), 2).shape == (2, 3)
+
+
+class Canned:
+    """A generator stand-in that serves one row of uniforms: random(m) its
+    first m entries, random() its first."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def random(self, m=None):
+        return self.row[0] if m is None else self.row[:m].copy()
+
+
 def test_batch_matches_per_vector_path():
     # same uniform draws in, same indices and costs out, row by row
     rng = np.random.default_rng(61)
     for make in (lambda: qz.uniform(0.07, 5), lambda: qz.anq(0.4, 0.02, 5),
-                 lambda: qz.anq(0.0, 0.05, 5), lambda: qz.identity(5)):
+                 lambda: qz.anq(0.0, 0.05, 5), lambda: qz.identity(5),
+                 lambda: qz.gossip(0.4, 5),
+                 lambda: qz.sparsifier([0.9, 0.5, 0.25, 1.0, 0.05], 5),
+                 lambda: qz.qsgd(3, 5), lambda: qz.qsgd(1, 5, b_hp=16)):
         spec = make()
         xs = rng.normal(0, 0.5, (12, 5))
+        xs[4] = 0.0                       # qsgd's zero-norm message
         us = rng.random((12, 5))
         if spec.kind == "identity":
             costs, recon = qz.quantize_batch(spec, xs)
         else:
-            costs, recon = qz.quantize_batch(spec, xs, us)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                costs, recon = qz.quantize_batch(spec, xs, us)
         for r in range(12):
-            class Canned:
-                def __init__(self, row):
-                    self.row = row
-                def random(self, m):
-                    return self.row[:m].copy()
             msg = qz.quantize(spec, xs[r], Canned(us[r]))
             assert costs[r] == msg.bit_cost
             assert np.array_equal(recon[r], qz.reconstruct(spec, msg))
+        assert costs.shape == (12,) and recon.shape == xs.shape
+        if spec.kind == "qsgd":
+            assert costs[4] == spec.b_hp and not recon[4].any()
+
+
+def test_qsgd_row_norm_matches_the_per_vector_norm():
+    # every row's norm is the scalar np.linalg.norm(x) of the per-vector
+    # reference, and the batch's costs and reconstructions equal quantize's
+    # bit for bit, over inputs spanning 16 decades, on contiguous and on
+    # gathered (strided) rows
+    rng = np.random.default_rng(73)
+    for L in (1, 2, 5, 17, 64):
+        spec = qz.qsgd(4, L)
+        xs = rng.standard_normal((800, L)) * 10.0 ** rng.uniform(-8, 8, (800, 1))
+        us = rng.random(xs.shape)
+        for rows in (slice(None), slice(None, None, 3)):
+            costs, recon = qz.quantize_batch(spec, xs[rows], us[rows])
+            for got_cost, got, x, u in zip(costs, recon, xs[rows], us[rows]):
+                msg = qz.quantize(spec, x, Canned(u))
+                assert msg.norm == np.linalg.norm(x)
+                assert got_cost == msg.bit_cost
+                assert np.array_equal(got, qz.reconstruct(spec, msg))
 
 
 def test_batch_of_spec_stacks_matches_each_spec():
@@ -350,7 +395,11 @@ def test_batch_of_spec_stacks_matches_each_spec():
             for e in (0.005, 0.02, 0.1, 0.5)]
     uniforms = [qz.uniform(d, 5) for d in (0.003, 0.07, 1.0)]
     identities = [qz.identity(5), qz.identity(5, b_hp=16)]
-    for specs in (anqs, uniforms, identities):
+    gossips = [qz.gossip(q, 5) for q in (0.1, 0.5, 1.0)]
+    sparsifiers = [qz.sparsifier([0.9, 0.5, 0.25, 1.0, 0.75], 5),
+                   qz.sparsifier(0.3, 5, b_hp=8)]
+    qsgds = [qz.qsgd(s, 5, b_hp=b) for s, b in ((1, 32), (4, 16), (16, 32))]
+    for specs in (anqs, uniforms, identities, gossips, sparsifiers, qsgds):
         scale = rng.uniform(0.01, 10.0, (len(specs), 7, 1))
         xs = rng.normal(0, 0.5, (len(specs), 7, 5)) * scale
         us = rng.random(xs.shape)
@@ -379,9 +428,35 @@ def test_batch_of_spec_stacks_names_out_of_range_vectors():
         qz.quantize_batch(specs, xs[:2], xs[:2])
 
 
+def test_batch_of_per_row_specs_matches_each_spec():
+    # an (R, L) stack with one spec per row: spec j quantizes row j
+    rng = np.random.default_rng(71)
+    groups = [[qz.anq(w, e, 4) for w in (0.0, 0.5, 2.0) for e in (0.01, 0.1)],
+              [qz.uniform(d, 4) for d in (0.01, 0.3)],
+              [qz.gossip(q, 4) for q in (0.2, 0.9)],
+              [qz.sparsifier(q, 4) for q in (0.1, 0.6)],
+              [qz.qsgd(s, 4) for s in (2, 8)],
+              [qz.identity(4, b_hp=b) for b in (8, 32)]]
+    for group in groups:
+        specs = group * 3
+        xs = rng.normal(0, 1.0, (len(specs), 4))
+        xs[1] = 0.0
+        us = rng.random(xs.shape)
+        costs, recon = qz.quantize_batch(specs, xs, us)
+        assert costs.shape == (len(specs),) and recon.shape == xs.shape
+        for j, spec in enumerate(specs):
+            want = qz.quantize_batch(spec, xs[j:j + 1], us[j:j + 1])
+            assert costs[j] == want[0][0]
+            assert np.array_equal(recon[j], want[1][0])
+    with pytest.raises(qz.IndexRange) as exc:
+        qz.quantize_batch([qz.uniform(1.0, 2), qz.uniform(1e-20, 2)],
+                          np.ones((2, 2)), np.full((2, 2), 0.5))
+    assert exc.value.rows.tolist() == [False, True]
+
+
 def test_batch_rejects_unsupported_schemes_and_shapes():
     with pytest.raises(qz.SchemeMismatch):
-        qz.quantize_batch(qz.qsgd(2, 3), np.zeros((2, 3)), np.zeros((2, 3)))
+        qz.quantize_batch(qz.randc(2, 3), np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(qz.SpecError):
         qz.quantize_batch(qz.uniform(0.1, 3), np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(qz.SpecError):
