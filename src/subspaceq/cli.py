@@ -354,13 +354,9 @@ def cmd_verify(exp: Experiment) -> int:
     print(f"{line} complement contraction: rho {rho:.6f}")
 
     # a factored matrix has 1 x 1 blocks: A's block (k, j) is W[k, j] I_l
-    pattern_ok = True
     nl = 1 if comb.factored else exp.l
-    for k in range(exp.n):
-        for j in range(exp.n):
-            if j not in top.neighborhoods[k]:
-                blk = matrix[k * nl:(k + 1) * nl, j * nl:(j + 1) * nl]
-                pattern_ok &= bool(np.all(blk == 0.0))
+    nonzero = np.any(matrix.reshape(exp.n, nl, exp.n, nl) != 0.0, axis=(1, 3))
+    pattern_ok = not np.any(nonzero & (learning._neighbor_mask(top) == 0.0))
     ok &= pattern_ok
     detail = "off-neighborhood blocks all zero" if pattern_ok else "nonzero block found"
     print(f"{'PASS' if pattern_ok else 'FAIL'} sparsity pattern: {detail}")

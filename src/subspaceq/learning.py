@@ -273,7 +273,7 @@ class _Plan:
 
     arrays: tuple                 # _model_arrays(models)
     work: tuple                   # _schemes of the stacked rows
-    nb_index: np.ndarray          # (rows, d) row indices matching the blocks
+    nb_index: np.ndarray          # (rows, d) row indices matching the mixing
 
 
 def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
@@ -284,12 +284,15 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
     add the reconstruction to phi_k and, in audit mode, to every replica of
     phi_k in the network (the identical float operation on both sides);
     (c) mix: w_k = (1 - gamma) phi_k + gamma * sum_j A_kj phi_j. blocks is
-    the combination matrix viewed as (n, n, l, l); run passes instead each
-    agent's neighbor blocks (n, d_max, l, l) with their agent indices in its
-    plan. The batched driver stacks several configs' networks in one state,
-    as blocks of n rows with mu and gamma as matching columns, and its plan
-    groups their rows by quantizer scheme (_schemes), one quantize_batch
-    call per scheme but randc; without a plan, specs are the agents' specs.
+    the combination matrix viewed as (n, n, l, l); run passes instead what
+    _neighbor_blocks gives, with the agent indices in its plan: for
+    A = W kron I_l each agent's neighbor weights (n, d_max), mixed with l
+    multiply-adds per neighbor, else its neighbor blocks (n, d_max, l, l),
+    mixed with l^2. The batched driver stacks several configs' networks in
+    one state, as blocks of n rows with mu and gamma as matching columns,
+    and its plan groups their rows by quantizer scheme (_schemes), one
+    quantize_batch call per scheme but randc; without a plan, specs are the
+    agents' specs.
     streams is the StreamField of the enclosing Monte-Carlo repetition.
     Returns (per-row message bits, per-row ||chi||^2); bits are NaN where a
     level index left the exact range.
@@ -314,7 +317,10 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
             state.check_consistency(neighbor_mask)
         heard = state.copies[np.arange(n)[:, None], _plan.nb_index]
 
-    mixed = np.einsum("kmst,kmt->ks", blocks, heard)
+    if blocks.ndim == 2:
+        mixed = np.einsum("km,kmt->kt", blocks, heard)
+    else:
+        mixed = np.einsum("kmst,kmt->ks", blocks, heard)
     state.w = (1.0 - gamma) * state.phi + gamma * mixed
 
     if trace is not None:
@@ -327,17 +333,19 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
 
 def _neighbor_blocks(comb: CombinationMatrix, n, l):
     """Each agent's neighbors in ascending order as an (n, d_max) index,
-    padded at the end with the agent itself, and the matching blocks of A as
-    (n, d_max, l, l), zero at the padding. A factored A = W kron I_l gives
-    the blocks W[k, j] I_l, the same numbers np.kron computes."""
+    padded at the end with the agent itself, and what A holds for them, zero
+    at the padding. A factored A = W kron I_l gives the scalar weights
+    W[k, j] as (n, d_max) and never reads A; a dense A gives its blocks as
+    (n, d_max, l, l). Mixing the weights adds the same products in the same
+    neighbor order as mixing the blocks W[k, j] I_l, whose other terms are
+    0 * phi = +-0, so both give the same bits."""
     nbhd = [sorted(nb) for nb in comb.topology.neighborhoods]
     d_max = max(len(nb) for nb in nbhd)
     index = np.array([nb + [k] * (d_max - len(nb)) for k, nb in enumerate(nbhd)])
     real = np.arange(d_max) < np.array([len(nb) for nb in nbhd])[:, None]
     rows = np.arange(n)[:, None]
     if comb.factored:
-        weights = np.where(real, comb.matrix[rows, index], 0.0)
-        return index, weights[:, :, None, None] * np.eye(l)
+        return index, np.where(real, comb.matrix[rows, index], 0.0)
     blocks = comb.matrix.reshape(n, l, n, l).transpose(0, 2, 1, 3)[rows, index]
     return index, np.where(real[:, :, None, None], blocks, 0.0)
 
@@ -501,9 +509,11 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     randomness from counter-based streams keyed by (repetition, iteration,
     agent), and averages MSD, message bits, and innovation energy across
     repetitions. MSD(i) = (1/N) sum_k ||w_opt_k - w_k,i||^2. Each round
-    mixes only the neighbor blocks of A. debug=True is the audit mode: every
-    agent keeps replicas of its neighbors' states, mixes from them, and they
-    are checked against the owners' states every 100 iterations.
+    mixes only each agent's neighbors: with the scalar weights W when comb
+    is factored (A = W kron I_l), else with the l x l blocks of A.
+    debug=True is the audit mode: every agent keeps replicas of its
+    neighbors' states, mixes from them, and they are checked against the
+    owners' states every 100 iterations.
 
     config may also be a sequence of RunConfigs that share seed, runs and
     iterations (else BatchMismatch); the call then returns a list with one
@@ -523,14 +533,14 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
         w_star = np.concatenate([m.w_star for m in models])
         w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
 
-        nb_index, nb_blocks = _neighbor_blocks(comb, n, l)
+        nb_index, nb_mix = _neighbor_blocks(comb, n, l)
         arrays = _model_arrays(models)
         mask = _neighbor_mask(comb.topology) if debug else None
 
         def rounds(batch):
             m = batch.count
             index = (nb_index + n * np.arange(m)[:, None, None]).reshape(m * n, -1)
-            blocks = np.tile(nb_blocks, (m, 1, 1, 1))
+            blocks = np.concatenate([nb_mix] * m)
             plan = _Plan(arrays, batch.work, index)
             neighbor_mask = None if mask is None else np.kron(np.eye(m), mask)
 

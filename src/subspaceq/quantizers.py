@@ -338,12 +338,12 @@ def _index_rows(specs):
 
         def rows(x, u):
             m, bad = _floor_index(g(x))
-            y0 = y(m)
-            width = y(m + 1) - y0
+            y0, y1 = y(m), y(m + 1)
+            width = y1 - y0
             if np.any(width <= 0):
                 raise DegenerateCell("nonpositive cell width")
-            idx = m + (u < np.clip((x - y0) / width, 0.0, 1.0))
-            return idx, y(idx), bad
+            up = u < np.clip((x - y0) / width, 0.0, 1.0)
+            return m + up, np.where(up, y1, y0), bad
         return rows
     parts = [(part, _index_rows([s for s, p in zip(specs, part) if p]))
              for part in (linear, ~linear)]

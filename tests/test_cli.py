@@ -232,6 +232,34 @@ def test_verify_never_builds_the_dense_consensus_matrix(tmp_path, capsys,
     assert "PASS complement contraction" in outtext
 
 
+def test_verify_flags_an_off_neighborhood_weight(tmp_path, capsys,
+                                                 monkeypatch):
+    # moving weight onto a non-link keeps W doubly stochastic, so only the
+    # sparsity check fails
+    real_setup = cli.build_setup
+
+    def tampered_setup(exp):
+        top, basis, comb, models = real_setup(exp)
+        k, j = next((k, j) for k in range(top.n) for j in range(top.n)
+                    if j not in top.neighborhoods[k])
+        w = comb.matrix.copy()
+        w[k, j] = w[j, k] = 1e-3
+        w[k, k] -= 1e-3
+        w[j, j] -= 1e-3
+        return top, basis, graphs.CombinationMatrix(
+            w, top, comb.block_dims, comb.factored), models
+
+    monkeypatch.setattr(cli, "build_setup", tampered_setup)
+    extra_edit = {"connectivity = 1.0":
+                  "connectivity = 0.6\ncombination = consensus-metropolis"}
+    path = base_config(tmp_path, **extra_edit)
+    assert cli.main(["verify", "--config", path]) == 2
+    outtext = capsys.readouterr().out
+    assert "FAIL sparsity pattern: nonzero block found" in outtext
+    assert "PASS subspace constraints" in outtext
+    assert "PASS complement contraction" in outtext
+
+
 def test_verify_identity_quantizer_prints_clipped_bound(tmp_path, capsys):
     path = base_config(tmp_path,
                        **{"quantizer = anq:omega=0.25,eta=auto":

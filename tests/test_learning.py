@@ -280,17 +280,27 @@ def test_neighbor_combine_equals_dense_einsum_bitwise(mode):
         top = graphs.build_topology(n, 0.5, seed=2)   # degrees 3 to 6
         basis = graphs.subspace_smooth(top, 2, l, weight=0.1)
     comb = graphs.build_combination(top, basis, mode=mode)
-    index, blocks = learning._neighbor_blocks(comb, n, l)
+    index, mix = learning._neighbor_blocks(comb, n, l)
+    # a factored A mixes scalar weights W[k, j], a dense one l x l blocks
+    assert mix.shape == ((n, index.shape[1]) if comb.factored
+                         else (n, index.shape[1], l, l))
     degrees = [top.degree(k) for k in range(n)]
     assert min(degrees) < index.shape[1] == max(degrees)
     for k in range(n):
         assert list(index[k, :degrees[k]]) == sorted(top.neighborhoods[k])
         assert np.all(index[k, degrees[k]:] == k)
-        assert np.all(blocks[k, degrees[k]:] == 0.0)
+        assert np.all(mix[k, degrees[k]:] == 0.0)
+        if comb.factored:
+            assert np.array_equal(mix[k, :degrees[k]],
+                                  comb.matrix[k, index[k, :degrees[k]]])
     rng = np.random.default_rng(0)
     for _ in range(100):
-        phi = rng.standard_normal((n, l)) * 10.0 ** rng.uniform(-6, 3)
-        got = np.einsum("kmst,kmt->ks", blocks, phi[index])
+        # 16 decades of magnitude
+        phi = rng.standard_normal((n, l)) * 10.0 ** rng.uniform(-8, 8)
+        if comb.factored:
+            got = np.einsum("km,kmt->kt", mix, phi[index])
+        else:
+            got = np.einsum("kmst,kmt->ks", mix, phi[index])
         assert np.array_equal(got, _dense_combine(comb, phi))
 
 
@@ -565,6 +575,33 @@ def test_batched_configs_equal_separate_runs_bitwise():
     audited = learning.run(configs[:4], models, basis, comb, debug=True)
     for got, want in zip(audited, batched):
         _assert_same_result(got, want)
+
+
+def test_factored_run_equals_dense_run_bitwise(monkeypatch):
+    # the scalar-weight combine of A = W kron I_l against the l x l block
+    # combine of the same matrix held dense
+    top, basis, comb = _batch_network()
+    dense = graphs.CombinationMatrix(comb.a, comb.topology, comb.block_dims)
+    assert comb.factored and not dense.factored
+    models = make_models(6, 3)
+    grid = _batch_grid()
+    # 1 and 3 pass DIVERGENCE_LIMIT, 6 leaves the exact range in round 0
+    stacked = [grid[k] for k in (0, 1, 3, 6, 10)]
+    cases = [(grid[0], False), (stacked, False), (stacked[:3], True)]
+    want = [learning.run(cfg, models, basis, dense, debug=debug)
+            for cfg, debug in cases]
+
+    def dense_read(self):
+        raise AssertionError("the factored run read the dense matrix")
+
+    monkeypatch.setattr(graphs.CombinationMatrix, "a", property(dense_read))
+    got = [learning.run(cfg, models, basis, comb, debug=debug)
+           for cfg, debug in cases]
+    _assert_same_result(got[0], want[0])
+    assert [r.diverged_at for r in want[1]] == [None, 155, 427, 1, None]
+    for results_got, results_want in zip(got[1:], want[1:]):
+        for g, w in zip(results_got, results_want, strict=True):
+            _assert_same_result(g, w)
 
 
 def test_batch_draws_each_cell_once(monkeypatch):
