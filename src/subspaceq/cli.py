@@ -528,7 +528,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(exp)
         return cmd_rate_distortion(exp, workers=args.workers)
-    except ConfigError as exc:
+    except (ConfigError, quantizers.SpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (graphs.NotConnected, graphs.InvalidEdgeList,

@@ -199,7 +199,8 @@ def _draw_psi(w, arrays, mu, streams, iteration):
     each agent's own stream, arithmetic stacked. Row k matches
     w[k] - mu * sample_gradient(models[k], w[k], stream) to rounding order.
     w may stack copies of the network as consecutive blocks of n rows, with
-    mu a matching column; each agent's cell is drawn once for all copies."""
+    mu a scalar or a matching column; each agent's cell is drawn once, and
+    its u and d broadcast over the copies."""
     sqrt_su, sqrt_sv, w_star = arrays
     n, l = w_star.shape
     z = np.empty((n, l + 1))
@@ -207,23 +208,29 @@ def _draw_psi(w, arrays, mu, streams, iteration):
         z[k] = streams.stream(iteration, k, GRADIENT).standard_normal(l + 1)
     u = sqrt_su * z[:, :l]
     d = np.einsum("kl,kl->k", u, w_star) + sqrt_sv * z[:, l]
-    stacked = w.shape[0] // n
-    u, d = np.tile(u, (stacked, 1)), np.tile(d, stacked)
-    err = d - np.einsum("kl,kl->k", u, w)
-    return w + mu * u * err[:, None]
+    blocks = w.reshape(-1, n, l)
+    if np.ndim(mu):
+        mu = mu.reshape(-1, n, 1)
+    err = d - np.einsum("kl,ckl->ck", u, blocks)
+    return (blocks + mu * u * err[..., None]).reshape(w.shape)
 
 
 def _schemes(specs, n):
     """The quantize work of a stack whose row r is agent r % n's, quantized
     by specs[r]: (kind, rows, their agents, their specs) for each scheme
     present, the specs but randc's as a quantizers._SpecRows with its
-    parameter columns; and the agents whose QUANTIZE uniforms they read."""
+    parameter columns; and the agents whose QUANTIZE uniforms they read.
+    The rows of a scheme but randc that fill one range are a slice, which
+    reads and writes them without a gather."""
     kinds = np.array([s.kind for s in specs])
     schemes = []
     for kind in sorted(set(kinds), key=quantizers.KINDS.index):
         rows = np.flatnonzero(kinds == kind)
         chosen = [specs[r] for r in rows]
-        schemes.append((kind, rows, rows % n, chosen if kind == "randc"
+        at = rows
+        if kind != "randc" and rows[-1] - rows[0] == rows.size - 1:
+            at = slice(int(rows[0]), int(rows[-1]) + 1)
+        schemes.append((kind, at, rows % n, chosen if kind == "randc"
                         else quantizers._SpecRows(chosen)))
     readers = np.flatnonzero(~np.isin(kinds, ("identity", "randc"))) % n
     return schemes, np.unique(readers).tolist()
@@ -263,7 +270,8 @@ def _quantize_all(work, chi, streams, iteration, n):
                 bits[r] = msg.bit_cost
                 delta[r] = quantizers.reconstruct(spec, msg)
         else:   # identity ignores the (undrawn) uniforms of its agents
-            bits[rows], delta[rows] = _flagged_batch(specs, chi[rows], us[agents])
+            bits[rows], delta[rows] = _flagged_batch(
+                specs, chi[rows], np.take(us, agents, axis=0))
     return bits, delta
 
 
@@ -308,7 +316,7 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
 
     state.phi += delta
     if state.copies is None:
-        heard = state.phi[_plan.nb_index]
+        heard = np.take(state.phi, _plan.nb_index, axis=0)
     else:
         if neighbor_mask is None:
             neighbor_mask = np.ones((n, n))
@@ -450,8 +458,9 @@ def _monte_carlo(configs, models, prepare, replicas=False) -> list:
             bits_acc[where, i] += bits
             chi_acc[where, i] += chi_sq
             msd_acc[where, i + 1] += dev
-            if (np.isfinite(dev).all() and not np.isnan(bits).any()
-                    and np.max(np.abs(state.w)) <= DIVERGENCE_LIMIT):
+            # |w| <= DIVERGENCE_LIMIT keeps dev finite, and a NaN fails it
+            if (np.abs(state.w).max() <= DIVERGENCE_LIMIT
+                    and not np.isnan(bits).any()):
                 continue
             lost = np.isnan(bits).any(axis=1)
             broke = lost | ~np.isfinite(dev) | (

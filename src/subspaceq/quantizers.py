@@ -107,6 +107,8 @@ class QuantizerSpec:
                 raise SpecError("anq needs omega >= 0")
             if not (self.eta is not None and self.eta > 0):
                 raise SpecError("anq needs eta > 0")
+        if k in ("uniform", "anq"):
+            _check_finite_budget(self)
         if k == "randc" and not (self.c is not None and 1 <= self.c <= self.dim):
             raise SpecError("randc needs 1 <= c <= dim")
         if k == "gossip" and not (self.q is not None and 0 < self.q <= 1):
@@ -118,6 +120,20 @@ class QuantizerSpec:
                 raise SpecError("sparsifier needs 0 < q_j <= 1")
         if k == "qsgd" and not (self.s is not None and self.s >= 1):
             raise SpecError("qsgd needs integer s >= 1")
+
+
+def _check_finite_budget(spec):
+    """SpecError unless an index spec's parameters and its declared noise
+    budget are finite; an infinite cell width reconstructs to NaN."""
+    params = (spec.delta,) if spec.kind == "uniform" else (spec.omega, spec.eta)
+    try:
+        budget = noise_budget(spec)
+        finite = all(map(math.isfinite, params + (budget.beta_sq, budget.sigma_sq)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SpecError(f"{spec_string(spec)} needs finite parameters and a "
+                        "finite noise budget")
 
 
 @dataclass(frozen=True)
@@ -268,16 +284,18 @@ def compander_inverse(t, omega, eta):
     return np.sign(t) * (eta / omega) * np.expm1(2.0 * np.abs(t) * math.asinh(omega))
 
 
-def _floor_index(t):
-    """floor(t) as int64 level indices, and a mask of the vectors (along the
+def _floor_levels(t):
+    """floor(t) as float level indices, and a mask of the vectors (along the
     last axis) in which floor(t) or floor(t) + 1 would reach MAX_INDEX in
-    magnitude. Those vectors' indices are zeroed before the cast, so that
-    the rest of a stack still rounds exactly."""
+    magnitude. Those vectors' levels are zeroed, so that the rest of a stack
+    still rounds exactly; every other level is an integer float64 holds
+    exactly, as are its neighbors."""
     m = np.floor(t)
+    m += 0.0        # -0.0 to +0.0, which the level 0 maps to
     inside = (m > -MAX_INDEX) & (m < MAX_INDEX - 1)
     if inside.all():
-        return m.astype(np.int64), np.zeros(m.shape[:-1], dtype=bool)
-    return np.where(inside, m, 0.0).astype(np.int64), ~inside.all(axis=-1)
+        return m, np.zeros(m.shape[:-1], dtype=bool)
+    return np.where(inside, m, 0.0), ~inside.all(axis=-1)
 
 
 def _index_range(bad):
@@ -327,29 +345,32 @@ def _index_maps(specs):
 
 
 def _index_rows(specs):
-    """(x, u) -> (level indices, reconstructions, _floor_index mask of the
-    vectors out of the exact range): vectorized two-point rounding of x on
-    the uniforms u through the maps of uniform or anq specs. u is shaped
-    like x, or stacks such rows, one rounding of x per row. A stack that
-    mixes linear and logarithmic specs rounds each part through its maps."""
+    """(x, u) -> (level indices as floats, reconstructions, _floor_levels
+    mask of the vectors out of the exact range): vectorized two-point
+    rounding of x on the uniforms u through the maps of uniform or anq
+    specs. u is shaped like x, or stacks such rows, one rounding of x per
+    row. A stack that mixes linear and logarithmic specs rounds each part
+    through its maps."""
     linear = np.array([_is_linear(s) for s in specs])
     if linear.all() or not linear.any():
         g, y = _index_maps(specs)
 
         def rows(x, u):
-            m, bad = _floor_index(g(x))
-            y0, y1 = y(m), y(m + 1)
+            m, bad = _floor_levels(g(x))
+            y0, y1 = y(m), y(m + 1.0)
             width = y1 - y0
-            if np.any(width <= 0):
+            if (width <= 0).any():
                 raise DegenerateCell("nonpositive cell width")
-            up = u < np.clip((x - y0) / width, 0.0, 1.0)
+            p = x - y0
+            p /= width
+            up = u < np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)
             return m + up, np.where(up, y1, y0), bad
         return rows
     parts = [(part, _index_rows([s for s, p in zip(specs, part) if p]))
              for part in (linear, ~linear)]
 
     def mixed(xs, us):
-        idx = np.empty(xs.shape, dtype=np.int64)
+        idx = np.empty(xs.shape)
         recon = np.empty(xs.shape)
         bad = np.empty(xs.shape[:-1], dtype=bool)
         for part, rows in parts:
@@ -365,8 +386,9 @@ def _kernel(specs):
     One spec quantizes every row of xs, m specs an (m, k, L) stack, spec j
     on stack j. us are the uniforms quantize consumes, shaped like xs or
     stacking rows against one x; gossip reads us[..., 0], identity none.
-    parts are the level indices, sent flags, selection mask or (norm,
-    signs, levels). An index beyond the exact range raises IndexRange."""
+    parts are the level indices (as floats), sent flags, selection mask or
+    (norm, signs, levels). An index beyond the exact range raises
+    IndexRange."""
     k, L = specs[0].kind, specs[0].dim
     if any((s.kind, s.dim) != (k, L) for s in specs):
         raise SchemeMismatch("a stack of specs takes one scheme and dim")
@@ -437,7 +459,7 @@ class _SpecRows(tuple):
 
 def index_bit_lengths(indices) -> np.ndarray:
     """Vectorized codeword length ceil(log2(|n|+1)); exact for |n| < 2**53."""
-    mag = np.abs(np.asarray(indices)).astype(np.float64)
+    mag = np.abs(np.asarray(indices)).astype(np.float64, copy=False)
     return np.frexp(mag)[1]
 
 
@@ -446,9 +468,10 @@ def _ceil_log2(n: int) -> int:
 
 
 def _variable_rate_cost(indices):
-    """Codec cost of each vector of level indices along the last axis."""
+    """Codec cost of each vector of level indices (integers or integer
+    floats) along the last axis."""
     lengths = index_bit_lengths(indices)
-    return codec.BITS_PER_SYMBOL * (lengths.shape[-1] + lengths.sum(axis=-1)).astype(float)
+    return codec.BITS_PER_SYMBOL * (lengths.shape[-1] + lengths.sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +520,7 @@ def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
     cost, recon, parts = _kernel([spec])(x, us)
     cost = float(cost)
     if k in ("uniform", "anq"):
-        return QuantizedMessage(k, L, cost, indices=parts)
+        return QuantizedMessage(k, L, cost, indices=parts.astype(np.int64))
     if k == "sparsifier":
         return QuantizedMessage(k, L, cost, values=recon, coords=np.flatnonzero(parts))
     if k == "qsgd":

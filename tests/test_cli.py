@@ -198,6 +198,18 @@ def test_run_divergence_exit_code(tmp_path, capsys, quantizer):
     assert "divergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quantizer", ["uniform:delta=inf",
+                                       "anq:omega=0.25,eta=inf",
+                                       "anq:omega=nan,eta=0.1",
+                                       "uniform:delta=1e200"])
+def test_run_rejects_non_finite_quantizer_parameters(tmp_path, capsys, quantizer):
+    path = base_config(tmp_path, **{
+        "quantizer = anq:omega=0.25,eta=auto": f"quantizer = {quantizer}"})
+    assert cli.main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert "config error: algorithm.quantizer" in err and "divergence" not in err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = base_config(tmp_path, **{"gamma = 0.9": "gamma = 2.0"})
     assert cli.main(["run", "--config", path]) == 1
@@ -322,6 +334,15 @@ def test_rate_distortion_rejects_unsweepable_scheme(tmp_path, capsys):
     assert "sweep.schemes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["anq:omega=nan", "anq:omega=1e200"])
+def test_rate_distortion_rejects_a_scheme_without_finite_budget(tmp_path, capsys,
+                                                                 scheme):
+    extra = f"\n[sweep]\nschemes = uniform, {scheme}\nvalues = 0.1\n"
+    path = base_config(tmp_path, extra=extra)
+    assert cli.main(["rate-distortion", "--config", path]) == 1
+    assert "config error: anq:omega=" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # quantizer-test
 
@@ -339,6 +360,16 @@ def test_quantizer_test_uniform_and_identity(capsys):
 def test_quantizer_test_bad_spec(capsys):
     assert cli.main(["quantizer-test", "uniform:delta=-1"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["uniform:delta=inf", "uniform:delta=1e200",
+                                  "anq:omega=1e200,eta=0.1"])
+def test_quantizer_test_rejects_a_spec_without_finite_budget(capsys, spec):
+    # before: NaN contract violations (exit 2), or an OverflowError
+    assert cli.main(["quantizer-test", spec, "--trials", "100"]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "contract violations" not in captured.err
 
 
 @pytest.mark.parametrize("trials", [0, -3])

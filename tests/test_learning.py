@@ -651,6 +651,39 @@ def test_batch_raises_the_first_diverging_config():
     assert exc.value.iteration == 1
 
 
+def test_nan_iterate_below_the_limit_diverges_its_config_alone(monkeypatch):
+    # a NaN iterate passes no |w| <= DIVERGENCE_LIMIT test, so round i
+    # diverges the config through its non-finite deviation, not a round later
+    # through the quantizer's index range
+    top, basis, comb = _batch_network()
+    models = make_models(6, 3)
+    grid = _batch_grid()
+    configs = [grid[k] for k in (0, 2, 4, 5)]
+    want = [learning.run(cfg, models, basis, comb) for cfg in configs]
+    poisoned, at = 1, 40
+    real_step = learning.step
+
+    def nan_step(state, *args, **kwargs):
+        out = real_step(state, *args, **kwargs)
+        if args[6] == at and state.n == len(configs) * 6:
+            state.w[poisoned * 6:(poisoned + 1) * 6] = np.nan
+        return out
+
+    monkeypatch.setattr(learning, "step", nan_step)
+    got = learning.run(configs, models, basis, comb)
+    bad = got[poisoned]
+    assert bad.diverged and bad.diverged_at == at + 1 and bad.runs_used == 1
+    assert np.isfinite(bad.msd[:at + 1]).all() and np.isinf(bad.msd[at + 2:]).all()
+    assert np.isfinite(bad.bits[:at + 1]).all() and np.isnan(bad.bits[at + 1:]).all()
+    for k, (g, w) in enumerate(zip(got, want)):
+        if k != poisoned:
+            _assert_same_result(g, w)
+    with pytest.raises(learning.NonFinite) as exc:
+        learning.run([RunConfig(**{**vars(c), "on_divergence": "raise"})
+                      for c in configs], models, basis, comb)
+    assert exc.value.iteration == at + 1 and exc.value.__cause__ is None
+
+
 @pytest.mark.parametrize("field, value", [("seed", 12), ("runs", 3),
                                           ("iterations", 499)])
 def test_batch_rejects_configs_that_do_not_share_draws(field, value):

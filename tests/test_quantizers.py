@@ -58,6 +58,35 @@ def test_spec_validation():
         qz.QuantizerSpec("other", 4)
 
 
+NOT_FINITE = ["uniform:delta=inf", "uniform:delta=nan", "anq:omega=0.25,eta=inf",
+              "anq:omega=0.25,eta=nan", "anq:omega=inf,eta=0.1",
+              "anq:omega=nan,eta=0.1"]
+# parameters whose declared budget leaves the float range: x**2 raises
+# OverflowError at 1e200, and L * delta**2 / 4 is inf at 1e154
+OVERFLOWING = ["uniform:delta=1e200", "uniform:delta=1e154",
+               "anq:omega=1e200,eta=0.1", "anq:omega=0.25,eta=1e200",
+               "anq:omega=0.25,eta=1e154"]
+
+
+@pytest.mark.parametrize("text", NOT_FINITE + OVERFLOWING)
+def test_spec_rejects_non_finite_or_overflowing_parameters(text):
+    name, _, rest = text.partition(":")
+    params = dict(item.split("=") for item in rest.split(","))
+    with pytest.raises(qz.SpecError):
+        qz.parse_spec(text, 5)
+    with pytest.raises(qz.SpecError):
+        if name == "uniform":
+            qz.uniform(float(params["delta"]), 5)
+        else:
+            qz.anq(float(params["omega"]), float(params["eta"]), 5)
+
+
+def test_spec_accepts_large_parameters_with_finite_budgets():
+    for spec in (qz.uniform(1e150, 5), qz.anq(1e150, 1e150, 5)):
+        budget = qz.noise_budget(spec)
+        assert math.isfinite(budget.beta_sq) and math.isfinite(budget.sigma_sq)
+
+
 # ---------------------------------------------------------------------------
 # selection-string grammar
 
@@ -463,6 +492,17 @@ def test_batch_rejects_unsupported_schemes_and_shapes():
         qz.quantize_batch(qz.uniform(0.1, 3), np.zeros((2, 3)), np.zeros((2, 2)))
 
 
+def test_level_zero_reconstructs_to_positive_zero():
+    # x / delta may round to -0.0, whose floor is the level -0.0; the kernel
+    # still reconstructs +0.0 there, as reconstruct does from the message
+    spec = qz.uniform(10.0, 3)
+    x = np.array([-0.0, -5e-324, 0.0])
+    want = qz.reconstruct(spec, qz.quantize(spec, x, stream()))
+    _, recon = qz.quantize_batch(spec, x[None], np.full((1, 3), 0.5))
+    assert not np.signbit(want).any()
+    assert recon[0].tobytes() == want.tobytes()
+
+
 def test_index_beyond_exact_range_raises_named_error():
     # a cell far too fine for the input: the level index would pass 2**53,
     # where index_bit_lengths stops being exact, long before the int64 cast
@@ -488,3 +528,17 @@ def test_index_beyond_exact_range_raises_named_error():
         assert low.indices[0] == -(qz.MAX_INDEX - 1)
         with pytest.raises(qz.IndexRange):
             qz.quantize(edge, [-top - 2.0], stream())
+        # the batch path holds the same edges, with the same exact cost
+        exact = codec.sequence_bit_cost([qz.MAX_INDEX - 2])
+        assert msg.bit_cost == low.bit_cost == exact
+        for x in (top, -top - 1.0):
+            costs, recon = qz.quantize_batch(edge, [[x]], [[0.5]])
+            assert costs[0] == exact and recon[0, 0] == x
+        for x in (top + 1.0, -top - 2.0):
+            with pytest.raises(qz.IndexRange) as exc:
+                qz.quantize_batch(edge, [[0.5], [x]], [[0.5], [0.5]])
+            assert exc.value.rows.tolist() == [False, True]
+    # levels are floats inside the kernel, int64 in the message
+    assert msg.indices.dtype == low.indices.dtype == np.int64
+    anq_msg = qz.quantize(qz.anq(0.25, 0.05, 3), [0.3, -0.2, 0.0], stream())
+    assert anq_msg.indices.dtype == np.int64
