@@ -72,13 +72,15 @@ def _complement(u):
 def spectral_report(comb: CombinationMatrix, basis: SubspaceBasis) -> SpectralReport:
     """Diagonalize the minor block of a combination matrix.
 
-    Splits the space as Range(U) + complement, eigendecomposes
-    J = Q^T A Q on the complement (eigh when symmetric, so orthonormal
-    eigenvectors are preserved exactly), and assembles the full eigenbasis
-    V = [U | Q S]. Raises DefectiveMatrix when that basis is ill conditioned
-    instead of perturbing toward a diagonalizable form. A factored consensus
-    matrix W kron I_l is diagonalized as W against the scalar consensus
-    basis, whose eigenvalues and eigenbasis are those of A repeated l times.
+    Splits the space as Range(U) + complement and eigendecomposes
+    J = Q^T A Q on the complement. A symmetric J has orthonormal
+    eigenvectors S, so the full eigenbasis V = [U | Q S] is orthogonal and
+    v1 = v2 = 1 exactly; only its eigenvalues are computed. Otherwise V is
+    assembled from the general eigenvectors, and DefectiveMatrix is raised
+    when it is ill conditioned instead of perturbing toward a
+    diagonalizable form. A factored consensus matrix W kron I_l is
+    diagonalized as W against the scalar consensus basis, whose eigenvalues
+    and eigenbasis are those of A repeated l times.
     """
     a, reduced = reduced_problem(comb, basis)
     u = reduced.u
@@ -86,25 +88,25 @@ def spectral_report(comb: CombinationMatrix, basis: SubspaceBasis) -> SpectralRe
     j = q.T @ a @ q
 
     if np.allclose(j, j.T, rtol=0.0, atol=1e-12):
-        lam, s = np.linalg.eigh(j)
-        lam = lam.astype(complex)
+        lam = np.linalg.eigvalsh(j)
+        v1 = v2 = 1.0
     else:
         lam, s = np.linalg.eig(j)
         if np.iscomplexobj(s) and np.allclose(s.imag, 0.0):
             s = s.real
-
-    v = np.hstack([u, q @ s])
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > DEFECTIVE_COND:
-        raise DefectiveMatrix(
-            f"eigenbasis condition number {sv[0] / max(sv[-1], 1e-300):.3g} "
-            f"exceeds {DEFECTIVE_COND:g}")
+        v = np.hstack([u, q @ s])
+        sv = np.linalg.svd(v, compute_uv=False)
+        if sv[-1] <= 0 or sv[0] / sv[-1] > DEFECTIVE_COND:
+            raise DefectiveMatrix(
+                f"eigenbasis condition number {sv[0] / max(sv[-1], 1e-300):.3g} "
+                f"exceeds {DEFECTIVE_COND:g}")
+        v1, v2 = float(1.0 / sv[-1]), float(sv[0])
 
     return SpectralReport(
         rho_j=float(np.max(np.abs(lam))),
         rho_i_minus_j=float(np.max(np.abs(1.0 - lam))),
-        v1=float(1.0 / sv[-1]),
-        v2=float(sv[0]),
+        v1=v1,
+        v2=v2,
         epsilon_used=0.0,
     )
 

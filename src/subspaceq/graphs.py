@@ -128,18 +128,18 @@ class CombinationMatrix:
 # ---------------------------------------------------------------------------
 # topologies
 
-def _from_neighbor_sets(n, sets):
+def _from_edges(n, i, j):
+    """Topology of the undirected 0-indexed edges (i[e], j[e]); self-loops
+    and repeated edges are allowed and ignored."""
     w = np.zeros((n, n))
-    for k, nb in enumerate(sets):
-        for j in nb:
-            if j != k:
-                w[k, j] = 1.0
-    if not np.array_equal(w, w.T):
-        raise InvalidEdgeList("directed edge in an undirected topology")
+    w[i, j] = 1.0
+    w[j, i] = 1.0
+    np.fill_diagonal(w, 0.0)
     ncomp, _ = connected_components(sp.csr_matrix(w + np.eye(n)), directed=False)
     if ncomp != 1:
         raise NotConnected(f"{ncomp} components")
-    sets = tuple(frozenset(nb | {k}) for k, nb in enumerate(sets))
+    sets = tuple(frozenset(np.flatnonzero(row).tolist()) | {k}
+                 for k, row in enumerate(w))
     return Topology(n, sets, w)
 
 
@@ -157,27 +157,24 @@ def build_topology(n, connectivity, seed=None) -> Topology:
         if not 0 < prob <= 1:
             raise ValueError("edge probability must be in (0, 1]")
         rng = np.random.default_rng(seed)
+        iu = np.triu_indices(n, 1)
         for _ in range(CONNECT_RETRY_BUDGET):
-            iu = np.triu_indices(n, 1)
             draw = rng.random(len(iu[0])) < prob
-            sets = [set() for _ in range(n)]
-            for i, j, on in zip(*iu, draw):
-                if on:
-                    sets[i].add(int(j))
-                    sets[j].add(int(i))
             try:
-                return _from_neighbor_sets(n, sets)
+                return _from_edges(n, iu[0][draw], iu[1][draw])
             except NotConnected:
                 continue
         raise NotConnected(f"no connected draw in {CONNECT_RETRY_BUDGET} attempts")
-    sets = [set() for _ in range(n)]
-    for k, j in connectivity:
-        if not (1 <= k <= n and 1 <= j <= n):
-            raise InvalidEdgeList(f"edge ({k}, {j}) outside 1..{n}")
-        if k != j:
-            sets[k - 1].add(j - 1)
-            sets[j - 1].add(k - 1)
-    return _from_neighbor_sets(n, sets)
+    edges = np.array(connectivity, dtype=np.intp)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise InvalidEdgeList("edge list must hold (k, j) pairs")
+    outside = (edges < 1) | (edges > n)
+    if outside.any():
+        k, j = edges[np.flatnonzero(outside.any(axis=1))[0]]
+        raise InvalidEdgeList(f"edge ({k}, {j}) outside 1..{n}")
+    return _from_edges(n, edges[:, 0] - 1, edges[:, 1] - 1)
 
 
 def save_topology(path, topology: Topology):
@@ -247,6 +244,10 @@ def projector(basis: SubspaceBasis) -> np.ndarray:
 
 
 def spectral_radius(mat) -> float:
+    """Largest eigenvalue modulus; the symmetric solver when mat == mat^T."""
+    mat = np.asarray(mat)
+    if np.array_equal(mat, mat.T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
     return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
@@ -255,13 +256,11 @@ def spectral_radius(mat) -> float:
 
 def metropolis_weights(topology: Topology) -> np.ndarray:
     """Doubly stochastic scalar weights 1/max(|N_k|, |N_l|) off the diagonal."""
-    n = topology.n
-    a = np.zeros((n, n))
-    for k in range(n):
-        for j in topology.neighborhoods[k]:
-            if j != k:
-                a[k, j] = 1.0 / max(topology.degree(k), topology.degree(j))
-        a[k, k] = 1.0 - a[k].sum()
+    deg = np.array([len(nb) for nb in topology.neighborhoods])
+    rows, cols = np.nonzero(topology.edge_weights)
+    a = np.zeros((topology.n, topology.n))
+    a[rows, cols] = 1.0 / np.maximum(deg[rows], deg[cols])
+    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     return a
 
 
@@ -407,6 +406,18 @@ def smooth_signal(lap, raw=None, tau=3.0, l=1, seed=None) -> np.ndarray:
     return (kernel @ raw.reshape(n, l)).ravel()
 
 
+def _variance_diagonal(covariances, block_dims):
+    """diag(H) when every covariance is a scalar variance, else None."""
+    variances = [np.asarray(covariances[k], dtype=float) for k in range(len(block_dims))]
+    if any(r.ndim != 0 for r in variances):
+        return None
+    variances = np.array(variances)
+    bad = np.flatnonzero(~(variances > 0))
+    if bad.size:
+        raise ValueError(f"covariance {bad[0]} is not positive definite")
+    return np.repeat(variances, block_dims)
+
+
 def _expand_covariances(covariances, block_dims):
     blocks = []
     for k, d in enumerate(block_dims):
@@ -428,16 +439,23 @@ def compute_wopt(basis: SubspaceBasis, covariances, w_star) -> np.ndarray:
     """Exact constrained optimum U (U^T H U)^{-1} U^T H w_star, H = diag(R_k).
 
     ``covariances`` is a sequence with one entry per agent, each either a
-    scalar variance (isotropic block) or a full per-block matrix.
+    scalar variance (isotropic block) or a full per-block matrix. With scalar
+    variances alone H is diagonal and never formed: each entry of U^T H is
+    one product, so scaling the columns of U^T gives u.T @ H bit for bit,
+    laid out as the gemm's C-ordered result for the products that follow.
     """
     u = basis.u
     w_star = np.asarray(w_star, dtype=float)
-    blocks = _expand_covariances(covariances, basis.block_dims)
-    h = scipy.linalg.block_diag(*blocks)
-    g = u.T @ h @ u
+    diag = _variance_diagonal(covariances, basis.block_dims)
+    if diag is None:
+        uth = u.T @ scipy.linalg.block_diag(
+            *_expand_covariances(covariances, basis.block_dims))
+    else:
+        uth = np.ascontiguousarray(u.T * diag)
+    g = uth @ u
     if np.linalg.cond(g) > 1e12:
         raise SingularProjection("U^T H U is numerically singular")
-    return u @ np.linalg.solve(g, u.T @ h @ w_star)
+    return u @ np.linalg.solve(g, uth @ w_star)
 
 
 # ---------------------------------------------------------------------------

@@ -635,21 +635,29 @@ def empirical_moments(spec: QuantizerSpec, x, rng, draws: int, chunk: int = 2000
     x = np.asarray(x, dtype=float)
     L = spec.dim
     s1 = np.zeros(L)
-    s2 = np.zeros(L)
+    d1 = np.zeros(L)
+    d2 = np.zeros(L)
+    shift = None
     q1 = 0.0
     q2 = 0.0
     done = 0
     while done < draws:
         b = min(chunk, draws - done)
         err = sample_errors(spec, x, rng, b)
+        if shift is None:
+            shift = err[0].copy()
         s1 += err.sum(axis=0)
-        s2 += (err**2).sum(axis=0)
+        # variance about the first draw: no cancellation when the errors
+        # barely spread, and exactly 0 when every draw gives the same error
+        dev = err - shift
+        d1 += dev.sum(axis=0)
+        d2 += (dev**2).sum(axis=0)
         nsq = (err**2).sum(axis=1)
         q1 += nsq.sum()
         q2 += (nsq**2).sum()
         done += b
     mean = s1 / draws
-    var = np.maximum(s2 / draws - mean**2, 0.0)
+    var = np.maximum(d2 / draws - (d1 / draws)**2, 0.0)
     mse = q1 / draws
     mse_var = max(q2 / draws - mse**2, 0.0)
     return {

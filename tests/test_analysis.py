@@ -90,6 +90,91 @@ def test_defective_minor_block_raises():
         analysis.spectral_report(comb, basis)
 
 
+def eigenbasis_report(comb, basis):
+    """Oracle: eigenvalues and eigenvectors of J (eigh when J is symmetric,
+    eig otherwise) and the SVD of the assembled eigenbasis V = [U | Q S]."""
+    a, reduced = graphs.reduced_problem(comb, basis)
+    u = reduced.u
+    q = np.linalg.svd(u, full_matrices=True)[0][:, u.shape[1]:]
+    j = q.T @ a @ q
+    if np.allclose(j, j.T, rtol=0.0, atol=1e-12):
+        lam, s = np.linalg.eigh(j)
+        lam = lam.astype(complex)
+    else:
+        lam, s = np.linalg.eig(j)
+        if np.iscomplexobj(s) and np.allclose(s.imag, 0.0):
+            s = s.real
+    sv = np.linalg.svd(np.hstack([u, q @ s]), compute_uv=False)
+    return SpectralReport(rho_j=float(np.max(np.abs(lam))),
+                          rho_i_minus_j=float(np.max(np.abs(1.0 - lam))),
+                          v1=float(1.0 / sv[-1]), v2=float(sv[0]))
+
+
+def symmetric_networks():
+    for n, l, conn, seed in [(5, 2, 1.0, 0), (12, 3, 0.4, 6), (200, 5, 0.05, 7)]:
+        top = graphs.build_topology(n, conn, seed=seed)
+        basis = graphs.subspace_consensus(n, l)
+        yield top, basis, graphs.build_combination(top, basis, mode="consensus-metropolis")
+    top = small_world(10, 3, 0.2, seed=13)
+    basis = graphs.subspace_smooth(top, 2, 2, weight=0.1)
+    yield top, basis, graphs.build_combination(top, basis)
+
+
+def test_symmetric_report_skips_the_eigenbasis(monkeypatch):
+    for top, basis, comb in symmetric_networks():
+        oracle = eigenbasis_report(comb, basis)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", None)      # no eigenvector solve
+            rep = analysis.spectral_report(comb, basis)
+        assert rep.v1 == 1.0 and rep.v2 == 1.0
+        assert abs(oracle.v1 - 1.0) <= 1e-12 and abs(oracle.v2 - 1.0) <= 1e-12
+        assert abs(rep.rho_j - oracle.rho_j) <= 1e-12
+        assert abs(rep.rho_i_minus_j - oracle.rho_i_minus_j) <= 1e-12
+
+
+def test_nonsymmetric_report_is_the_eigenbasis_route_bitwise():
+    # P_U + Q M Q^T with M diagonalizable but far from symmetric
+    n, l = 4, 1
+    basis = graphs.subspace_consensus(n, l)
+    q = np.linalg.svd(basis.u, full_matrices=True)[0][:, 1:]
+    mix = np.array([[0.5, 0.3, 0.1], [0.0, -0.2, 0.4], [0.0, 0.0, 0.1]])
+    a = graphs.projector(basis) + q @ mix @ q.T
+    comb = CombinationMatrix(a, graphs.build_topology(n, 1.0, seed=0), (l,) * n)
+    rep = analysis.spectral_report(comb, basis)
+    assert rep == eigenbasis_report(comb, basis)
+    assert rep.v1 != 1.0
+
+
+def recording(monkeypatch, calls):
+    for name in ("eigvals", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda mat, _fn=fn, _name=name: calls.append(_name) or _fn(mat))
+
+
+def test_validation_solver_follows_exact_symmetry(monkeypatch):
+    eigvals = np.linalg.eigvals
+    lsq_top = small_world(10, 3, 0.2, seed=29)
+    lsq_basis = graphs.subspace_smooth(lsq_top, 3, 2, weight=0.1)
+    lsq = graphs.build_combination(lsq_top, lsq_basis)
+    minor = lsq.a - graphs.projector(lsq_basis)
+    assert not np.array_equal(minor, minor.T)
+    calls = []
+    recording(monkeypatch, calls)
+    rho = graphs.validate_combination(lsq.a, lsq_top, lsq_basis)["rho"]
+    assert calls == ["eigvals"]
+    assert rho == float(np.max(np.abs(eigvals(minor))))
+
+    for top, basis, comb in symmetric_networks():
+        if not comb.factored:
+            continue
+        w, scalar = graphs.reduced_problem(comb, basis)
+        calls.clear()
+        rho = graphs.validate_combination(w, top, scalar)["rho"]
+        assert calls == ["eigvalsh"]
+        assert abs(rho - float(np.max(np.abs(eigvals(w - scalar.u @ scalar.u.T))))) <= 1e-12
+
+
 def test_minor_contraction_controls_gamma_damped_spectrum():
     # sanity of the stability argument: |(1-g) + g*lam| <= 1 - g(1 - rho(J))
     # for every minor eigenvalue lam and every mixing parameter on a grid

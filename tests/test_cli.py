@@ -75,6 +75,35 @@ def test_invalid_values_name_offending_key(tmp_path):
             cli.load_config(path)
 
 
+@pytest.mark.parametrize("old, new, keypath", [
+    ("mu = 0.01", "mu = nan", "algorithm.mu"),
+    ("mu = 0.01", "mu = 0.01, nan", "algorithm.mu"),
+    ("tau = 3.0", "tau = nan", "model.tau"),
+    ("sigma_u_sq = 1.5, 2.5", "sigma_u_sq = nan, 2.5", "model.sigma_u_sq"),
+    ("sigma_u_sq = 1.5, 2.5", "sigma_u_sq = 1.5, nan", "model.sigma_u_sq"),
+    ("sigma_v_sq = 0.1, 0.2", "sigma_v_sq = nan, 0.2", "model.sigma_v_sq"),
+    ("sigma_v_sq = 0.1, 0.2", "sigma_v_sq = 0.1, nan", "model.sigma_v_sq"),
+    ("p_vectors = 2", "p_vectors = 2\nlaplacian_weight = nan", "model.laplacian_weight"),
+    ("[output]", "[sweep]\nschemes = uniform\nvalues = 0.1, nan\n\n[output]",
+     "sweep.values"),
+    ("[output]", "[sweep]\nschemes = uniform\nlog_range = nan, 1.0, 4\n\n[output]",
+     "sweep.log_range"),
+    ("[output]", "[sweep]\nschemes = uniform\nlog_range = 0.01, 1.0, nan\n\n[output]",
+     "sweep.log_range"),
+])
+def test_nan_values_are_config_errors(tmp_path, old, new, keypath):
+    path = base_config(tmp_path, **{old: new})
+    with pytest.raises(ConfigError, match=keypath.replace(".", r"\.")):
+        cli.load_config(path)
+
+
+def test_run_with_nan_step_size_exits_with_config_error(tmp_path, capsys):
+    # before: a ValueError traceback from RunConfig
+    path = base_config(tmp_path, **{"mu = 0.01": "mu = nan"})
+    assert cli.main(["run", "--config", path]) == 1
+    assert "config error: algorithm.mu" in capsys.readouterr().err
+
+
 def test_connectivity_and_topology_file_exclusive(tmp_path):
     extra = "\n[unused]\n"
     path = base_config(tmp_path,
@@ -370,6 +399,39 @@ def test_quantizer_test_rejects_a_spec_without_finite_budget(capsys, spec):
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert "contract violations" not in captured.err
+
+
+def test_quantizer_test_judges_spreadless_bias_by_the_budget(capsys):
+    # omega = 1e10 makes the first cell [0, 4e9]: every input here rounds
+    # down in every trial, so the error has no spread, yet the spec is
+    # unbiased (before: four false "bias FAIL" lines, exit 2)
+    assert cli.main(["quantizer-test", "anq:omega=1e10,eta=0.1",
+                     "--trials", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "all contract checks passed" in out
+
+
+def fake_moments(mean_err, se_mean):
+    def moments(spec, x, rng, draws):
+        return {"mean_err": np.full(spec.dim, mean_err), "se_mean": np.full(spec.dim, se_mean),
+                "mse": 0.0, "se_mse": 0.0, "draws": draws}
+    return moments
+
+
+@pytest.mark.parametrize("mean_err, se_mean, verdict", [
+    (0.5, 0.1, "FAIL"),        # biased, with spread: 4 se is the bar
+    (0.39, 0.1, "PASS"),
+    (0.5, 0.0, "FAIL"),        # no spread: 4 sqrt(cap / trials) = 4 * 0.1 is the bar
+    (0.39, 0.0, "PASS"),
+])
+def test_quantizer_test_bias_verdict(monkeypatch, capsys, mean_err, se_mean, verdict):
+    # uniform:delta=0.2 has beta_sq = 0 and sigma_sq = 0.04, so cap = 0.04
+    monkeypatch.setattr(quantizers, "empirical_moments", fake_moments(mean_err, se_mean))
+    code = cli.main(["quantizer-test", "uniform:delta=0.2", "--trials", "4"])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("input")]
+    assert len(lines) == 5
+    assert all(f"bias {verdict}" in ln for ln in lines)
+    assert code == (2 if verdict == "FAIL" else 0)
 
 
 @pytest.mark.parametrize("trials", [0, -3])

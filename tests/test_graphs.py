@@ -6,9 +6,13 @@ a weighted least squares route for the constrained optimum, and cvxpy for the
 constrained combination fit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from subspaceq import graphs
 from subspaceq.graphs import (
@@ -91,10 +95,10 @@ def test_bfs_oracle_agrees_with_library_connectivity():
         n = int(rng.integers(2, 10))
         w = (rng.random((n, n)) < 0.25).astype(float)
         w = np.triu(w, 1)
+        i, j = np.nonzero(w)
         w = w + w.T
-        sets = [set(np.flatnonzero(w[k])) for k in range(n)]
         try:
-            graphs._from_neighbor_sets(n, sets)
+            graphs._from_edges(n, i, j)
             connected = True
         except NotConnected:
             connected = False
@@ -133,6 +137,86 @@ def test_edge_list_errors():
         build_topology(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnected):
         build_topology(4, [(1, 2), (3, 4)])
+
+
+def loop_from_neighbor_sets(n, sets):
+    """Oracle: the entry-by-entry fill of the link matrix and neighbourhoods."""
+    w = np.zeros((n, n))
+    for k, nb in enumerate(sets):
+        for j in nb:
+            if j != k:
+                w[k, j] = 1.0
+    ncomp, _ = connected_components(sp.csr_matrix(w + np.eye(n)), directed=False)
+    if ncomp != 1:
+        raise NotConnected(f"{ncomp} components")
+    return tuple(frozenset(nb | {k}) for k, nb in enumerate(sets)), w
+
+
+def loop_topology(n, connectivity, seed=None):
+    """Oracle: every node pair visited in turn, as a plain Python loop."""
+    if not isinstance(connectivity, list):
+        rng = np.random.default_rng(seed)
+        for _ in range(CONNECT_RETRY_BUDGET):
+            iu = np.triu_indices(n, 1)
+            draw = rng.random(len(iu[0])) < connectivity
+            sets = [set() for _ in range(n)]
+            for i, j, on in zip(*iu, draw):
+                if on:
+                    sets[i].add(int(j))
+                    sets[j].add(int(i))
+            try:
+                return loop_from_neighbor_sets(n, sets)
+            except NotConnected:
+                continue
+        raise NotConnected("retry budget")
+    sets = [set() for _ in range(n)]
+    for k, j in connectivity:
+        if k != j:
+            sets[k - 1].add(j - 1)
+            sets[j - 1].add(k - 1)
+    return loop_from_neighbor_sets(n, sets)
+
+
+def loop_metropolis(top):
+    """Oracle: Metropolis weights entry by entry, each row summed alone."""
+    n = top.n
+    a = np.zeros((n, n))
+    for k in range(n):
+        for j in top.neighborhoods[k]:
+            if j != k:
+                a[k, j] = 1.0 / max(top.degree(k), top.degree(j))
+        a[k, k] = 1.0 - a[k].sum()
+    return a
+
+
+def ring_with_chords(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(k + 1, (k + 1) % n + 1) for k in range(n)]
+    edges += [tuple(int(v) + 1 for v in rng.choice(n, 2, replace=False))
+              for _ in range(n // 2)]
+    return edges + [(3, 3), (2, 1)]      # a self-loop and a repeated edge
+
+
+@pytest.mark.parametrize("n, connectivity, seed", [
+    (2, 1.0, 0), (12, 0.3, 7), (40, 0.15, 3), (200, 0.05, 7), (1000, 0.01, 4),
+    (60, "edges", 5), (1000, "edges", 6),
+])
+def test_topology_and_weights_equal_the_loop_oracles(n, connectivity, seed):
+    if connectivity == "edges":
+        connectivity = ring_with_chords(n, seed)
+    top = build_topology(n, connectivity, seed=seed)
+    sets, w = loop_topology(n, connectivity, seed)
+    assert top.neighborhoods == sets
+    assert all(type(j) is int for nb in top.neighborhoods for j in nb)
+    assert np.array_equal(top.edge_weights, w)
+    assert np.array_equal(metropolis_weights(top), loop_metropolis(top))
+
+
+def test_edge_list_must_hold_pairs():
+    with pytest.raises(InvalidEdgeList, match="pairs"):
+        build_topology(3, [(1, 2, 3)])
+    with pytest.raises(NotConnected):
+        build_topology(3, [])
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +496,62 @@ def test_wopt_errors():
     smooth = subspace_smooth(top, 2, 1, weight=1.0)
     with pytest.raises(SingularProjection):
         compute_wopt(smooth, [1e-20, 1e-20, 1.0], np.zeros(3))
+
+
+def dense_h_wopt(basis, covariances, w_star):
+    """Oracle: the optimum through the dense (nl)^2 block-diagonal H."""
+    blocks = [np.asarray(r, dtype=float) * np.eye(d) if np.ndim(r) == 0 else r
+              for r, d in zip(covariances, basis.block_dims)]
+    h = scipy.linalg.block_diag(*blocks)
+    u = basis.u
+    return u @ np.linalg.solve(u.T @ h @ u, u.T @ h @ w_star)
+
+
+def test_wopt_scalar_path_equals_the_dense_h_formula_bitwise():
+    rng = np.random.default_rng(21)
+    top = build_topology(30, 0.2, seed=2)
+    bases = [subspace_consensus(30, 5), subspace_consensus(7, 1),
+             subspace_smooth(top, 3, 2, weight=0.1), subspace_smooth(top, 1, 4, weight=1.0)]
+    q, _ = np.linalg.qr(rng.normal(size=(6, 2)))
+    bases.append(SubspaceBasis(q, (1, 2, 3), 2))          # unequal blocks
+    for basis in bases:
+        n = len(basis.block_dims)
+        for scale in (1e-3, 1.0, 1e4):
+            variances = scale * rng.uniform(0.5, 2.5, n)
+            w_star = rng.normal(size=basis.m)
+            for covs in (list(variances), variances):
+                assert np.array_equal(compute_wopt(basis, covs, w_star),
+                                      dense_h_wopt(basis, variances, w_star))
+
+
+def test_wopt_full_covariances_keep_the_block_diagonal_path():
+    rng = np.random.default_rng(22)
+    top = build_topology(8, 0.5, seed=1)
+    basis = subspace_smooth(top, 2, 3, weight=0.1)
+    covs = []
+    for _ in range(8):
+        b = rng.normal(size=(3, 3))
+        covs.append(b @ b.T + 0.5 * np.eye(3))
+    covs[2] = 1.7                                           # one scalar among matrices
+    w_star = rng.normal(size=24)
+    assert np.array_equal(compute_wopt(basis, covs, w_star),
+                          dense_h_wopt(basis, covs, w_star))
+    with pytest.raises(ValueError, match="covariance 1 is not positive definite"):
+        compute_wopt(basis, [1.0, float("nan")] + [1.0] * 6, w_star)
+
+
+def test_wopt_scalar_path_never_forms_the_dense_h():
+    # at n = 1,000 and l = 5 the dense H alone is 5000^2 doubles, 200 MB
+    basis = subspace_consensus(1000, 5)
+    variances = np.random.default_rng(3).uniform(1.0, 2.0, 1000)
+    w_star = np.random.default_rng(4).normal(size=5000)
+    tracemalloc.start()
+    try:
+        compute_wopt(basis, list(variances), w_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------

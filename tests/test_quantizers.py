@@ -306,6 +306,25 @@ def test_mc_mean_reconstruction_roundtrip():
         assert np.all(np.abs(mom["mean_err"]) <= 4 * mom["se_mean"] + 1e-12)
 
 
+def test_moments_of_errors_without_spread():
+    # every draw rounds x down to 0, so each error equals x: the standard
+    # error is exactly 0, not the cancellation noise of s2 / n - mean^2
+    spec = qz.anq(1e10, 0.1, 5)
+    x = np.array([-0.05860464, -0.07625285, 0.299279, -0.81500751, 1.01070346])
+    mom = qz.empirical_moments(spec, x, stream(3), 1000, chunk=300)
+    assert np.allclose(mom["mean_err"], x, rtol=1e-14, atol=0)
+    assert np.array_equal(mom["se_mean"], np.zeros(5))
+    # a spread survives the shift: one input, two chunk sizes, same moments
+    spec = qz.uniform(0.2, 3)
+    x = np.array([0.05, -0.31, 0.77])
+    one = qz.empirical_moments(spec, x, stream(4), 5000)
+    two = qz.empirical_moments(spec, x, stream(4), 5000, chunk=999)
+    assert np.all(one["se_mean"] > 0)
+    assert np.allclose(one["se_mean"], two["se_mean"], rtol=1e-12, atol=0)
+    errs = qz.sample_errors(spec, x, stream(4), 5000)
+    assert np.allclose(one["se_mean"], errs.std(axis=0) / np.sqrt(5000), rtol=1e-12, atol=0)
+
+
 def test_small_omega_limit_recovers_uniform_levels():
     # same index distribution as the uniform scheme with step 2*eta
     delta = 0.2
