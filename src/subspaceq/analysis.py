@@ -118,7 +118,7 @@ def gamma_bound(report: SpectralReport, beta_q_max: float) -> float:
     with eps = report.epsilon_used; beta_q_max is the largest relative noise
     coefficient among the agents' quantizers. Zero relative noise clips to 1.
     """
-    if beta_q_max < 0:
+    if not beta_q_max >= 0:
         raise ValueError("beta_q_max must be nonnegative")
     if beta_q_max == 0.0:
         return 1.0
@@ -141,7 +141,7 @@ def rate_upper_bound(omega, eta, chi_ms, m_k) -> float:
         raise ValueError("omega must be positive")
     if not eta > 0:
         raise ValueError("eta must be positive")
-    if chi_ms < 0:
+    if not chi_ms >= 0:
         raise ValueError("chi_ms must be nonnegative")
     inner = math.log1p((omega / eta) * math.sqrt(chi_ms)) / (2.0 * math.asinh(omega))
     return codec.BITS_PER_SYMBOL * m_k * (2.0 + math.log2(inner + 2.0))

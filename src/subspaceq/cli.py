@@ -88,6 +88,8 @@ def _floats(raw):
     vals = tuple(float(t) for t in raw.split(",") if t.strip())
     if not vals:
         raise ValueError("empty list")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"values must be finite, got {raw!r}")
     return vals
 
 
@@ -139,8 +141,8 @@ def load_config(path, seed_override=None, out_override=None) -> Experiment:
     if combination == "subspace-lsq" and n > 1 and not 1 <= p_vectors < n:
         raise ConfigError("model.p_vectors: must be in [1, n)")
     tau = _field(cp, "model", "tau", float, 3.0)
-    if not tau >= 0:
-        raise ConfigError("model.tau: must be >= 0")
+    if not 0 <= tau < math.inf:
+        raise ConfigError("model.tau: must be >= 0 and finite")
     su_range = _field(cp, "model", "sigma_u_sq", _range_pair)
     if not su_range[0] > 0:
         raise ConfigError("model.sigma_u_sq: lower bound must be > 0")
@@ -148,8 +150,8 @@ def load_config(path, seed_override=None, out_override=None) -> Experiment:
     if not sv_range[0] >= 0:
         raise ConfigError("model.sigma_v_sq: must be >= 0")
     lap_weight = _field(cp, "model", "laplacian_weight", float, 0.1)
-    if not lap_weight > 0:
-        raise ConfigError("model.laplacian_weight: must be > 0")
+    if not 0 < lap_weight < math.inf:
+        raise ConfigError("model.laplacian_weight: must be > 0 and finite")
 
     mus = _field(cp, "algorithm", "mu", _floats)
     if any(not m > 0 for m in mus):
@@ -356,7 +358,8 @@ def cmd_verify(exp: Experiment) -> int:
     # a factored matrix has 1 x 1 blocks: A's block (k, j) is W[k, j] I_l
     nl = 1 if comb.factored else exp.l
     nonzero = np.any(matrix.reshape(exp.n, nl, exp.n, nl) != 0.0, axis=(1, 3))
-    pattern_ok = not np.any(nonzero & (learning._neighbor_mask(top) == 0.0))
+    pattern_ok = all(set(np.flatnonzero(row)) <= nb
+                     for row, nb in zip(nonzero, top.neighborhoods))
     ok &= pattern_ok
     detail = "off-neighborhood blocks all zero" if pattern_ok else "nonzero block found"
     print(f"{'PASS' if pattern_ok else 'FAIL'} sparsity pattern: {detail}")

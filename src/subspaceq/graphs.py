@@ -204,8 +204,8 @@ def load_topology(path, n=None) -> Topology:
 
 def laplacian(topology: Topology, uniform_weight: float) -> np.ndarray:
     """Weighted graph Laplacian diag(C 1) - C with uniform link weight."""
-    if uniform_weight <= 0:
-        raise ValueError("weight must be positive")
+    if not 0 < uniform_weight < np.inf:
+        raise ValueError("weight must be positive and finite")
     c = uniform_weight * topology.edge_weights
     return np.diag(c.sum(axis=1)) - c
 
@@ -395,8 +395,8 @@ def smooth_signal(lap, raw=None, tau=3.0, l=1, seed=None) -> np.ndarray:
     With ``raw`` omitted, the per-agent blocks are drawn i.i.d. from
     N(0.4, 1) using ``seed``. tau = 0 returns the raw signal unchanged.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be nonnegative and finite")
     lap = np.asarray(lap)
     n = lap.shape[0]
     if raw is None:

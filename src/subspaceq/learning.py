@@ -68,11 +68,13 @@ class DataModel:
     w_star: np.ndarray
 
     def __post_init__(self):
-        if not self.sigma_u_sq > 0:
-            raise ValueError("regressor variance must be positive")
-        if self.sigma_v_sq < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0 < self.sigma_u_sq < np.inf:
+            raise ValueError("regressor variance must be positive and finite")
+        if not 0 <= self.sigma_v_sq < np.inf:
+            raise ValueError("noise variance must be nonnegative and finite")
         object.__setattr__(self, "w_star", np.asarray(self.w_star, dtype=float))
+        if not np.isfinite(self.w_star).all():
+            raise ValueError("target w_star must be finite")
 
     @property
     def dim(self) -> int:
@@ -90,8 +92,8 @@ class RunConfig:
     on_divergence: str = "raise"  # or "flag"
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.mu < np.inf:
+            raise ValueError("step size must be positive and finite")
         if not 0 < self.gamma <= 1:
             raise ValueError("mixing parameter must be in (0, 1]")
         if self.iterations < 1 or self.runs < 1:
@@ -114,30 +116,31 @@ class RunConfig:
 
 class NetworkState:
     """Mutable per-repetition state: estimates, reconstruction states, and,
-    in audit mode, the replicated copies each agent keeps of its neighbors.
+    in audit mode, the replicas each row keeps of its neighbors' states.
 
-    copies[k, j] is agent k's replica of agent j's phi (k keeps one of itself
-    too). Every replica equals phi by construction, so the copies exist only
-    when ``replicas`` is set, as run(debug=True) does; step then updates them
-    and mixes from them, and check_consistency audits them. Entries for
-    non-neighbors stay at their initial zeros and are never read, because
-    the combination matrix is exactly zero off the neighborhood pattern.
+    They live in the (rows, width) neighbor table that mixing reads, in
+    O(rows * width * l) memory: copies[r, m] is row r's replica of row
+    index[r, m]'s phi; a padding slot replicates row r, at weight 0. Every
+    replica equals phi by construction, so the copies exist only when a
+    width is given, as run(debug=True) does; step then updates them and
+    mixes from them, and check_consistency audits them.
     """
 
-    def __init__(self, n, l, replicas=False):
+    def __init__(self, n, l, *, width=None):
         self.n = n
         self.l = l
         self.w = np.zeros((n, l))
         self.phi = np.zeros((n, l))
-        self.copies = np.zeros((n, n, l)) if replicas else None
+        self.copies = None if width is None else np.zeros((n, width, l))
 
-    def check_consistency(self, neighbor_mask):
-        if self.copies is None:
-            raise ValueError("no replicas to check; build with replicas=True")
-        for k in range(self.n):
-            for j in np.flatnonzero(neighbor_mask[k]):
-                if not np.array_equal(self.copies[k, j], self.phi[j]):
-                    raise StateDesync(f"agent {k}'s replica of agent {j} drifted")
+    def check_consistency(self, index):
+        """Raise StateDesync unless copies[r, m] equals phi[index[r, m]]."""
+        if self.copies is None or self.copies.shape[:2] != np.shape(index):
+            raise ValueError("no replicas laid out as this index")
+        drift = np.any(self.copies != np.take(self.phi, index, axis=0), axis=2)
+        if drift.any():
+            r, m = np.argwhere(drift)[0]
+            raise StateDesync(f"row {r}'s replica of row {index[r, m]} drifted")
 
 
 @dataclass
@@ -285,7 +288,7 @@ class _Plan:
 
 
 def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
-         iteration, neighbor_mask=None, debug=False, trace=None, _plan=None):
+         iteration, *, debug=False, trace=None, _plan=None):
     """One synchronous round of the three-phase recursion, in place.
 
     (a) psi_k = w_k - mu * gradient draw; (b) quantize chi_k = psi_k - phi_k,
@@ -300,7 +303,8 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
     one state, as blocks of n rows with mu and gamma as matching columns,
     and its plan groups their rows by quantizer scheme (_schemes), one
     quantize_batch call per scheme but randc; without a plan, specs are the
-    agents' specs.
+    agents' specs and the index is the full (n, n) one. Audit replicas
+    (state.copies) are laid out as the index; debug=True checks them.
     streams is the StreamField of the enclosing Monte-Carlo repetition.
     Returns (per-row message bits, per-row ||chi||^2); bits are NaN where a
     level index left the exact range.
@@ -318,12 +322,10 @@ def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
     if state.copies is None:
         heard = np.take(state.phi, _plan.nb_index, axis=0)
     else:
-        if neighbor_mask is None:
-            neighbor_mask = np.ones((n, n))
-        state.copies += neighbor_mask[:, :, None] * delta[None, :, :]
+        state.copies += np.take(delta, _plan.nb_index, axis=0)
         if debug:
-            state.check_consistency(neighbor_mask)
-        heard = state.copies[np.arange(n)[:, None], _plan.nb_index]
+            state.check_consistency(_plan.nb_index)
+        heard = state.copies
 
     if blocks.ndim == 2:
         mixed = np.einsum("km,kmt->kt", blocks, heard)
@@ -358,13 +360,6 @@ def _neighbor_blocks(comb: CombinationMatrix, n, l):
     return index, np.where(real[:, :, None, None], blocks, 0.0)
 
 
-def _neighbor_mask(topology):
-    mask = np.zeros((topology.n, topology.n))
-    for k, nb in enumerate(topology.neighborhoods):
-        mask[k, list(nb)] = 1.0
-    return mask
-
-
 @dataclass(frozen=True)
 class _Batch:
     """The live configs of a batch, stacked as consecutive blocks of n rows."""
@@ -387,7 +382,7 @@ def _stack(configs, specs, live, n):
                   column([configs[b].gamma for b in live]), rows, _schemes(rows, n))
 
 
-def _monte_carlo(configs, models, prepare, replicas=False) -> list:
+def _monte_carlo(configs, models, prepare, width=None) -> list:
     """The Monte-Carlo loop that run and run_diffusion share; one RunResult
     per config.
 
@@ -444,7 +439,7 @@ def _monte_carlo(configs, models, prepare, replicas=False) -> list:
         if not live:
             break
         streams = StreamField(first.seed, rep)
-        state = NetworkState(len(live) * n, l, replicas=replicas)
+        state = NetworkState(len(live) * n, l, width=width)
         round_ = rounds(_stack(configs, specs, live, n))
         where = slice(None) if len(live) == count else np.array(live)
         msd_acc[where, 0] += dev0
@@ -507,7 +502,7 @@ def _keep_configs(state: NetworkState, stay, n):
     state.n = rows.size
     state.w, state.phi = state.w[rows], state.phi[rows]
     if state.copies is not None:
-        state.copies = state.copies[np.ix_(rows, rows)]
+        state.copies = state.copies[rows]
 
 
 def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
@@ -521,8 +516,8 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     mixes only each agent's neighbors: with the scalar weights W when comb
     is factored (A = W kron I_l), else with the l x l blocks of A.
     debug=True is the audit mode: every agent keeps replicas of its
-    neighbors' states, mixes from them, and they are checked against the
-    owners' states every 100 iterations.
+    neighbors' states in the neighbor table, mixes from them, and they are
+    checked against the owners' states every 100 iterations.
 
     config may also be a sequence of RunConfigs that share seed, runs and
     iterations (else BatchMismatch); the call then returns a list with one
@@ -544,23 +539,22 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
 
         nb_index, nb_mix = _neighbor_blocks(comb, n, l)
         arrays = _model_arrays(models)
-        mask = _neighbor_mask(comb.topology) if debug else None
 
         def rounds(batch):
             m = batch.count
             index = (nb_index + n * np.arange(m)[:, None, None]).reshape(m * n, -1)
             blocks = np.concatenate([nb_mix] * m)
             plan = _Plan(arrays, batch.work, index)
-            neighbor_mask = None if mask is None else np.kron(np.eye(m), mask)
 
             def round_(state, streams, i):
                 return step(state, models, batch.specs, batch.mu, batch.gamma,
-                            blocks, streams, i, neighbor_mask,
-                            debug=debug and i % 100 == 0, _plan=plan)
+                            blocks, streams, i, debug=debug and i % 100 == 0,
+                            _plan=plan)
             return round_
         return w_opt, rounds
 
-    results = _monte_carlo(configs, models, prepare, replicas=debug)
+    width = max(map(len, comb.topology.neighborhoods)) if debug else None
+    results = _monte_carlo(configs, models, prepare, width)
     return results[0] if isinstance(config, RunConfig) else results
 
 

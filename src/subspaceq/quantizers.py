@@ -65,10 +65,10 @@ class DegenerateCell(ValueError):
 
 
 class IndexRange(ValueError):
-    """A level index would reach MAX_INDEX in magnitude (a cell far too fine
-    for the input), beyond exact index and bit-cost arithmetic. ``rows``
-    marks the input vectors concerned (shape of the input without its last
-    axis), when the raiser knows them."""
+    """A level index would reach MAX_INDEX in magnitude, or a cell is below
+    the float spacing of its value: a cell far too fine for the input, beyond
+    exact index and bit-cost arithmetic. ``rows`` marks the input vectors
+    concerned (shape of the input without its last axis), when known."""
 
     def __init__(self, message, rows=None):
         super().__init__(message)
@@ -345,8 +345,8 @@ def _index_maps(specs):
 
 
 def _index_rows(specs):
-    """(x, u) -> (level indices as floats, reconstructions, _floor_levels
-    mask of the vectors out of the exact range): vectorized two-point
+    """(x, u) -> (level indices as floats, reconstructions, mask of the
+    vectors out of the exact range or in a zero-width cell): two-point
     rounding of x on the uniforms u through the maps of uniform or anq
     specs. u is shaped like x, or stacks such rows, one rounding of x per
     row. A stack that mixes linear and logarithmic specs rounds each part
@@ -359,8 +359,10 @@ def _index_rows(specs):
             m, bad = _floor_levels(g(x))
             y0, y1 = y(m), y(m + 1.0)
             width = y1 - y0
-            if (width <= 0).any():
-                raise DegenerateCell("nonpositive cell width")
+            flat = width <= 0
+            if flat.any():  # a cell below the float spacing of its value
+                bad = bad | flat.any(axis=-1)
+                width = np.where(flat, np.inf, width)
             p = x - y0
             p /= width
             up = u < np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)

@@ -208,6 +208,26 @@ def test_gamma_bound_clips_and_validates():
         analysis.gamma_bound(rep, -0.1)
 
 
+_NAN = float("nan")
+_PATH4 = graphs.build_topology(4, [(1, 2), (2, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analysis.gamma_bound(SpectralReport(0.5, 0.5, 1.0, 1.0), _NAN),
+    lambda: analysis.rate_upper_bound(0.5, 0.02, _NAN, 5),
+    lambda: graphs.laplacian(_PATH4, _NAN),
+    lambda: graphs.laplacian(_PATH4, math.inf),
+    lambda: graphs.smooth_signal(graphs.laplacian(_PATH4, 0.1), tau=_NAN, seed=0),
+    lambda: graphs.smooth_signal(graphs.laplacian(_PATH4, 0.1), tau=math.inf, seed=0),
+], ids=["gamma_bound-beta", "rate_bound-chi_ms", "laplacian-nan",
+        "laplacian-inf", "smooth_signal-tau-nan", "smooth_signal-tau-inf"])
+def test_non_finite_arguments_are_rejected(call):
+    # a NaN fails every comparison, so it must not slip past a "< 0" guard
+    # into a clipped bound or a NaN matrix
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_gamma_bound_monotone_in_noise_coefficient():
     rep = SpectralReport(rho_j=0.6, rho_i_minus_j=1.4, v1=1.2, v2=1.1)
     grid = [analysis.gamma_bound(rep, b) for b in np.linspace(0.0, 4.0, 25)]

@@ -97,6 +97,38 @@ def test_nan_values_are_config_errors(tmp_path, old, new, keypath):
         cli.load_config(path)
 
 
+@pytest.mark.parametrize("old, new, keypath", [
+    ("mu = 0.01", "mu = inf", "algorithm.mu"),
+    ("mu = 0.01", "mu = 0.01, -inf", "algorithm.mu"),
+    ("tau = 3.0", "tau = inf", "model.tau"),
+    ("sigma_u_sq = 1.5, 2.5", "sigma_u_sq = 1.5, inf", "model.sigma_u_sq"),
+    ("sigma_v_sq = 0.1, 0.2", "sigma_v_sq = 0.1, inf", "model.sigma_v_sq"),
+    ("p_vectors = 2", "p_vectors = 2\nlaplacian_weight = inf", "model.laplacian_weight"),
+    ("[output]", "[sweep]\nschemes = uniform\nvalues = 0.1, inf\n\n[output]",
+     "sweep.values"),
+    ("[output]", "[sweep]\nschemes = uniform\nlog_range = 0.01, 1.0, inf\n\n[output]",
+     "sweep.log_range"),
+])
+def test_infinite_values_are_config_errors(tmp_path, old, new, keypath):
+    path = base_config(tmp_path, **{old: new})
+    with pytest.raises(ConfigError, match=keypath.replace(".", r"\.") + ": .*finite"):
+        cli.load_config(path)
+
+
+@pytest.mark.parametrize("old, new, keypath", [
+    # before: an OverflowError traceback from Generator.uniform
+    ("sigma_u_sq = 1.5, 2.5", "sigma_u_sq = 1.5, inf", "model.sigma_u_sq"),
+    # before: a false "divergence ... at iteration 1" with exit 3
+    ("mu = 0.01", "mu = inf", "algorithm.mu"),
+])
+def test_run_with_infinite_value_exits_with_config_error(tmp_path, capsys, old,
+                                                         new, keypath):
+    path = base_config(tmp_path, **{old: new})
+    assert cli.main(["run", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {keypath}" in err and "divergence" not in err
+
+
 def test_run_with_nan_step_size_exits_with_config_error(tmp_path, capsys):
     # before: a ValueError traceback from RunConfig
     path = base_config(tmp_path, **{"mu = 0.01": "mu = nan"})

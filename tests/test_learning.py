@@ -1,6 +1,7 @@
 """Tests for the quantized decentralized learning recursion."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,26 @@ def test_data_model_validation():
     with pytest.raises(ValueError):
         DataModel(1.0, -0.1, np.zeros(3))
     assert DataModel(1.0, 0.1, np.zeros(4)).dim == 4
+
+
+@pytest.mark.parametrize("sigma_u_sq, sigma_v_sq, w_star", [
+    (float("nan"), 0.1, [0.0, 1.0]),
+    (np.inf, 0.1, [0.0, 1.0]),
+    (1.0, float("nan"), [0.0, 1.0]),
+    (1.0, np.inf, [0.0, 1.0]),
+    (1.0, 0.1, [0.0, float("nan")]),
+    (1.0, 0.1, [np.inf, 1.0]),
+])
+def test_non_finite_data_models_are_rejected(sigma_u_sq, sigma_v_sq, w_star):
+    # caught here, not as NonFinite from the recursion at iteration 1
+    with pytest.raises(ValueError, match="finite"):
+        DataModel(sigma_u_sq, sigma_v_sq, np.array(w_star))
+
+
+@pytest.mark.parametrize("mu", [float("nan"), np.inf])
+def test_non_finite_step_size_is_rejected(mu):
+    with pytest.raises(ValueError, match="step size"):
+        RunConfig(mu=mu, gamma=0.5, iterations=10)
 
 
 def test_run_config_validation():
@@ -159,7 +180,6 @@ def test_two_agent_step_by_hand():
 
     state = NetworkState(n, l)
     streams = StreamField(seed, 0)
-    mask = np.ones((n, n))
 
     # hand trajectory with the same draws
     w_hand = [0.0, 0.0]
@@ -178,7 +198,7 @@ def test_two_agent_step_by_hand():
         w_hand = [(1 - gamma) * phi_hand[k]
                   + gamma * (a[k, 0] * phi_hand[0] + a[k, 1] * phi_hand[1])
                   for k in range(n)]
-        learning.step(state, models, specs, mu, gamma, blocks, streams, i, mask)
+        learning.step(state, models, specs, mu, gamma, blocks, streams, i)
         assert np.max(np.abs(state.w[:, 0] - np.array(w_hand))) < 1e-12
         assert np.max(np.abs(state.phi[:, 0] - np.array(phi_hand))) < 1e-12
 
@@ -219,11 +239,10 @@ def test_additive_noise_form_at_gamma_one():
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
     state = NetworkState(n, l)
     streams = StreamField(3, 0)
-    mask = np.ones((n, n))
     for i in range(20):
         trace = {}
         learning.step(state, models, specs, 0.05, 1.0, blocks, streams, i,
-                      mask, trace=trace)
+                      trace=trace)
         assert np.max(np.abs(trace["z"])) > 0  # quantization actually active
         y = trace["psi"] - trace["z"]
         w_expect = np.einsum("kjst,jt->ks", blocks, y)
@@ -240,22 +259,31 @@ def test_replica_consistency_and_desync_detection():
                     quantizer=quantizers.anq(0.5, 0.05, l), seed=19)
     learning.run(cfg, models, basis, comb, debug=True)  # no StateDesync
 
-    mask = np.zeros((n, n))
-    for k in range(n):
-        for j in top.neighborhoods[k]:
-            mask[k, j] = 1.0
-    state = NetworkState(n, l, replicas=True)
+    # without a plan step mixes over the full (n, n) index, so the replica
+    # table is n wide and copies[k, j] is agent k's replica of agent j
+    index = np.broadcast_to(np.arange(n), (n, n))
+    state = NetworkState(n, l, width=n)
     streams = StreamField(19, 0)
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
     specs = cfg.specs_for(n)
     for i in range(5):
-        learning.step(state, models, specs, 0.02, 0.8, blocks, streams, i, mask)
-    state.check_consistency(mask)
+        learning.step(state, models, specs, 0.02, 0.8, blocks, streams, i,
+                      debug=True)
+    state.check_consistency(index)
     k = 0
     j = next(iter(top.neighborhoods[k] - {k}))
     state.copies[k, j, 0] += 1e-9
-    with pytest.raises(learning.StateDesync):
-        state.check_consistency(mask)
+    with pytest.raises(learning.StateDesync, match=f"row {k}'s replica of row {j}"):
+        state.check_consistency(index)
+    # the table width comes from the index, never from a flag
+    with pytest.raises(TypeError):
+        NetworkState(n, l, replicas=True)
+    with pytest.raises(TypeError):
+        NetworkState(n, l, True)
+    # an option passed positionally after the iteration binds to nothing
+    with pytest.raises(TypeError):
+        learning.step(state, models, specs, 0.02, 0.8, blocks, streams, 5,
+                      np.ones((n, n)))
 
 
 def _dense_combine(comb, phi):
@@ -264,7 +292,10 @@ def _dense_combine(comb, phi):
     l = phi.shape[1]
     blocks = np.ascontiguousarray(
         comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3))
-    copies = learning._neighbor_mask(comb.topology)[:, :, None] * phi[None]
+    mask = np.zeros((n, n))
+    for k, nb in enumerate(comb.topology.neighborhoods):
+        mask[k, list(nb)] = 1.0
+    copies = mask[:, :, None] * phi[None]
     return np.einsum("kjst,kjt->ks", blocks, copies)
 
 
@@ -327,7 +358,26 @@ def test_run_keeps_replicas_only_in_audit_mode(monkeypatch):
     assert np.array_equal(plain.msd, audited.msd)
     assert np.array_equal(plain.bits, audited.bits)
     with pytest.raises(ValueError, match="replicas"):
-        NetworkState(n, l).check_consistency(np.ones((n, n)))
+        NetworkState(n, l).check_consistency(np.broadcast_to(np.arange(n), (n, n)))
+
+
+def test_audit_replicas_scale_with_the_neighbor_table():
+    # consensus at n = 1,000 and l = 5 (widest neighborhood about 23): one
+    # dense (n, n, l) replica array alone is 40 MB, the neighbor table 1 MB
+    n, l = 1000, 5
+    top, basis, comb = make_network(n, l, connectivity=0.01, seed=7,
+                                    mode="consensus-metropolis")
+    models = make_models(n, l)
+    cfg = RunConfig(mu=0.02, gamma=0.8, iterations=3, runs=1,
+                    quantizer=quantizers.anq(0.5, 0.05, l), seed=3)
+    tracemalloc.start()
+    try:
+        audited = learning.run(cfg, models, basis, comb, debug=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"audited run peaked at {peak / 1e6:.1f} MB"
+    _assert_same_result(audited, learning.run(cfg, models, basis, comb))
 
 
 def test_equal_specs_take_the_batched_path(monkeypatch):

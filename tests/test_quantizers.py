@@ -522,6 +522,22 @@ def test_level_zero_reconstructs_to_positive_zero():
     assert recon[0].tobytes() == want.tobytes()
 
 
+def test_cell_below_float_spacing_raises_index_range():
+    # with delta = 1e-20, x = 6.106e-5 has a level index under 2**53, yet
+    # the float spacing at x (1.4e-20) exceeds the cell: the cell's edges
+    # round to one value. That is a cell too fine for the input, not a
+    # DegenerateCell that escapes on_divergence="flag".
+    spec = qz.uniform(1e-20, 1)
+    m = np.floor(6.106e-5 / 1e-20)
+    assert m < qz.MAX_INDEX and 1e-20 * (m + 1.0) == 1e-20 * m
+    with pytest.raises(qz.IndexRange) as exc:
+        qz.quantize_batch(spec, [[1e-25], [6.106e-5], [0.0]],
+                          np.full((3, 1), 0.5))
+    assert exc.value.rows.tolist() == [False, True, False]
+    with pytest.raises(qz.IndexRange):
+        qz.quantize(spec, [6.106e-5], stream())
+
+
 def test_index_beyond_exact_range_raises_named_error():
     # a cell far too fine for the input: the level index would pass 2**53,
     # where index_bit_lengths stops being exact, long before the int64 cast
