@@ -16,7 +16,7 @@ import numpy as np
 
 from . import codec
 from .graphs import CombinationMatrix, SubspaceBasis, reduced_problem
-from .learning import RunConfig, run, steady_mean
+from .learning import STEADY_WINDOW, RunConfig, run, steady_mean
 
 DEFECTIVE_COND = 1e8
 
@@ -153,16 +153,20 @@ def rate_distortion_sweep(template: RunConfig, models, basis, comb, grid):
     grid is a sequence of (param_value, QuantizerSpec). Each point runs the
     template config with that quantizer and on_divergence="flag", then
     averages bits per component and MSD over the steady window and the
-    Monte-Carlo runs. The whole grid is one learning.run call over a list
-    of configs: the points share the network, seed and step size, so each
-    stream cell is drawn once for all of them and w_opt is computed once,
-    and each point stays bit-identical to a run of its config alone. A
-    point that diverges stops alone and comes back flagged with infinite
-    MSD, never dropped.
+    Monte-Carlo runs, so the template needs at least STEADY_WINDOW
+    iterations (else ValueError, before any point runs). The whole grid is
+    one learning.run call over a list of configs: the points share the
+    network, seed and step size, so each stream cell is drawn once for all
+    of them and w_opt is computed once, and each point stays bit-identical
+    to a run of its config alone. A point that diverges stops alone and
+    comes back flagged with infinite MSD, never dropped.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
+    if template.iterations < STEADY_WINDOW:
+        raise ValueError(f"iterations must be >= {STEADY_WINDOW}, the steady "
+                         "window each point averages")
     configs = [replace(template, quantizer=spec, on_divergence="flag")
                for _, spec in grid]
     points = []

@@ -129,6 +129,8 @@ def load_config(path, seed_override=None, out_override=None) -> Experiment:
     seed = _field(cp, "network", "seed", int)
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        raise ConfigError("network.seed: must be >= 0")
     combination = _field(cp, "network", "combination", str, "subspace-lsq")
     if combination not in ("subspace-lsq", "consensus-metropolis"):
         raise ConfigError("network.combination: unknown mode "
@@ -409,6 +411,9 @@ def cmd_rate_distortion(exp: Experiment, workers=1) -> int:
         raise ConfigError("sweep.schemes: required for rate-distortion")
     if exp.n == 1:
         raise ConfigError("network.n: rate-distortion sweeps need n >= 2")
+    if exp.iterations < learning.STEADY_WINDOW:
+        raise ConfigError(f"algorithm.iterations: must be >= {learning.STEADY_WINDOW}, "
+                          "the steady window each sweep point averages")
     top, basis, comb, models = build_setup(exp)
     out = Path(exp.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -467,6 +472,9 @@ def _canned_inputs(dim, rng):
 
 
 def cmd_quantizer_test(spec_text, trials, dim, b_hp, seed) -> int:
+    if seed < 0:
+        print("config error: --seed: must be >= 0", file=sys.stderr)
+        return 1
     rng = setup_rng(seed, 3)
     try:    # SpecError, a trial count below 1, an input out of exact range
         spec = quantizers.parse_spec(spec_text, dim, b_hp)

@@ -9,6 +9,7 @@ apply the identical state update and stay bit-for-bit synchronized.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,8 +97,14 @@ class RunConfig:
             raise ValueError("step size must be positive and finite")
         if not 0 < self.gamma <= 1:
             raise ValueError("mixing parameter must be in (0, 1]")
+        for name in ("iterations", "runs", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
         if self.iterations < 1 or self.runs < 1:
             raise ValueError("iterations and runs must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.on_divergence not in ("raise", "flag"):
             raise ValueError("on_divergence must be 'raise' or 'flag'")
 
@@ -280,58 +287,77 @@ def _quantize_all(work, chi, streams, iteration, n):
 
 @dataclass(frozen=True)
 class _Plan:
-    """What stays fixed across the rounds of one batch of configs."""
+    """What stays fixed across the rounds of one stack: count networks of n
+    agents as consecutive blocks of n rows."""
 
+    n: int
     arrays: tuple                 # _model_arrays(models)
-    work: tuple                   # _schemes of the stacked rows
-    nb_index: np.ndarray          # (rows, d) row indices matching the mixing
+    mu: np.ndarray                # (rows, 1)
+    gamma: np.ndarray             # (rows, 1)
+    work: tuple                   # _schemes of the rows
+    index: np.ndarray | None      # (rows, d) neighbor rows, None for dense mixing
+    mix: np.ndarray               # weights of index, or a dense scalar matrix
 
 
-def step(state: NetworkState, models, specs, mu, gamma, blocks, streams,
-         iteration, *, debug=False, trace=None, _plan=None):
+def _plan(models, specs, mu, gamma, index, mix, count=1):
+    """The plan of count stacked networks over models. specs holds each
+    row's quantizer spec; mu and gamma are one value per network, or one for
+    all. index and mix describe one network, as _neighbor_blocks gives them,
+    and are tiled over the stack: an (n, d) index of neighbor agents with
+    (n, d) scalar weights or (n, d, l, l) blocks. With index None, mix is a
+    dense (n, n) scalar matrix applied as mix @ phi, for one network."""
+    n = len(models)
+
+    def column(values):
+        return np.repeat(np.broadcast_to(values, (count,)), n)[:, None]
+
+    if index is not None:
+        index = (index + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
+        mix = np.concatenate([mix] * count)
+    return _Plan(n, _model_arrays(models), column(mu), column(gamma),
+                 _schemes(list(specs), n), index, mix)
+
+
+def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
+         trace=None):
     """One synchronous round of the three-phase recursion, in place.
 
     (a) psi_k = w_k - mu * gradient draw; (b) quantize chi_k = psi_k - phi_k,
     add the reconstruction to phi_k and, in audit mode, to every replica of
     phi_k in the network (the identical float operation on both sides);
-    (c) mix: w_k = (1 - gamma) phi_k + gamma * sum_j A_kj phi_j. blocks is
-    the combination matrix viewed as (n, n, l, l); run passes instead what
-    _neighbor_blocks gives, with the agent indices in its plan: for
-    A = W kron I_l each agent's neighbor weights (n, d_max), mixed with l
-    multiply-adds per neighbor, else its neighbor blocks (n, d_max, l, l),
-    mixed with l^2. The batched driver stacks several configs' networks in
-    one state, as blocks of n rows with mu and gamma as matching columns,
-    and its plan groups their rows by quantizer scheme (_schemes), one
-    quantize_batch call per scheme but randc; without a plan, specs are the
-    agents' specs and the index is the full (n, n) one. Audit replicas
-    (state.copies) are laid out as the index; debug=True checks them.
-    streams is the StreamField of the enclosing Monte-Carlo repetition.
-    Returns (per-row message bits, per-row ||chi||^2); bits are NaN where a
-    level index left the exact range.
+    (c) mix: w_k = (1 - gamma) phi_k + gamma * sum_j A_kj phi_j. Everything
+    fixed over the rounds comes from plan (_plan): the models, mu and gamma
+    columns, the rows grouped by quantizer scheme (_schemes, one
+    quantize_batch call per scheme but randc), and the mixing. With a
+    neighbor index, A = W kron I_l mixes each row's scalar neighbor weights
+    with l multiply-adds per neighbor, else its l x l neighbor blocks with
+    l^2; a dense view is the full (n, n) index. Without one, mix is the
+    scalar matrix of the diffusion recursion, applied as mix @ phi. Audit
+    replicas (state.copies) are laid out as the index; debug=True checks
+    them. streams is the StreamField of the enclosing Monte-Carlo
+    repetition. Returns (per-row message bits, per-row ||chi||^2); bits are
+    NaN where a level index left the exact range.
     """
-    n = state.n
-    if _plan is None:
-        _plan = _Plan(_model_arrays(models), _schemes(list(specs), n),
-                      np.broadcast_to(np.arange(n), (n, n)))
-
-    psi = _draw_psi(state.w, _plan.arrays, mu, streams, iteration)
+    psi = _draw_psi(state.w, plan.arrays, plan.mu, streams, iteration)
     chi = psi - state.phi
-    bits, delta = _quantize_all(_plan.work, chi, streams, iteration, len(models))
+    bits, delta = _quantize_all(plan.work, chi, streams, iteration, plan.n)
 
     state.phi += delta
-    if state.copies is None:
-        heard = np.take(state.phi, _plan.nb_index, axis=0)
+    if plan.index is None:
+        mixed = plan.mix @ state.phi
     else:
-        state.copies += np.take(delta, _plan.nb_index, axis=0)
-        if debug:
-            state.check_consistency(_plan.nb_index)
-        heard = state.copies
-
-    if blocks.ndim == 2:
-        mixed = np.einsum("km,kmt->kt", blocks, heard)
-    else:
-        mixed = np.einsum("kmst,kmt->ks", blocks, heard)
-    state.w = (1.0 - gamma) * state.phi + gamma * mixed
+        if state.copies is None:
+            heard = np.take(state.phi, plan.index, axis=0)
+        else:
+            state.copies += np.take(delta, plan.index, axis=0)
+            if debug:
+                state.check_consistency(plan.index)
+            heard = state.copies
+        if plan.mix.ndim == 2:
+            mixed = np.einsum("km,kmt->kt", plan.mix, heard)
+        else:
+            mixed = np.einsum("kmst,kmt->ks", plan.mix, heard)
+    state.w = (1.0 - plan.gamma) * state.phi + plan.gamma * mixed
 
     if trace is not None:
         trace["psi"] = psi
@@ -360,42 +386,38 @@ def _neighbor_blocks(comb: CombinationMatrix, n, l):
     return index, np.where(real[:, :, None, None], blocks, 0.0)
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """The live configs of a batch, stacked as consecutive blocks of n rows."""
+def _check_batch(configs, models):
+    """Raise unless configs can run as one batch over models: they share
+    seed, runs and iterations (else BatchMismatch), so that they consume the
+    same stream cells; all agents share one block dimension l; and every
+    quantizer spec has dim l. Returns (n, l)."""
+    first = configs[0]
+    if any((c.seed, c.runs, c.iterations) != (first.seed, first.runs, first.iterations)
+           for c in configs):
+        raise BatchMismatch("configs run as one batch must share seed, runs "
+                            "and iterations")
+    n = len(models)
+    l = models[0].dim
+    if any(m.dim != l for m in models):
+        raise ValueError("all agents must share one block dimension")
+    for config_specs in [c.specs_for(n) for c in configs]:
+        for k, s in enumerate(config_specs):
+            if s.dim != l:
+                raise ValueError(f"quantizer {k} has dim {s.dim}, agents have {l}")
+    return n, l
 
-    count: int
-    mu: np.ndarray                # (rows, 1)
-    gamma: np.ndarray             # (rows, 1)
-    specs: list                   # each row's quantizer spec
-    work: tuple                   # _schemes of the rows
 
-
-def _stack(configs, specs, live, n):
-    """The _Batch of the configs at indices live (specs[b] holding config
-    b's per-agent specs), in this order."""
-    def column(values):
-        return np.repeat(values, n)[:, None]
-
-    rows = [s for b in live for s in specs[b]]
-    return _Batch(len(live), column([configs[b].mu for b in live]),
-                  column([configs[b].gamma for b in live]), rows, _schemes(rows, n))
-
-
-def _monte_carlo(configs, models, prepare, width=None) -> list:
+def _monte_carlo(configs, models, w_opt, index, mix, debug=False) -> list:
     """The Monte-Carlo loop that run and run_diffusion share; one RunResult
-    per config.
+    per config, of configs that passed _check_batch.
 
-    The configs must share seed, runs and iterations (else BatchMismatch),
-    so that they consume the same stream cells: each round draws every cell
-    once for all of them. Checks that all agents share one block dimension l
-    and that every quantizer spec has dim l, then calls prepare(n, l). It
-    returns the deviation reference w_opt (n, l) and rounds(batch), which
-    gives for a _Batch the round function round_(state, streams, i): it
-    advances the stacked NetworkState by round i in place and returns
-    (per-row message bits, per-row ||chi||^2). Configs stack in list order,
-    their rows grouped by quantizer scheme (_schemes) for the quantize
-    phase. Every repetition starts from w = phi = 0 with its own StreamField.
+    The entry points differ only in the deviation reference w_opt (n, l)
+    and in how one network mixes, index and mix as _plan takes them. Every
+    round is one step call on the stacked NetworkState: configs stack in
+    list order, each round drawing every stream cell once for all of them,
+    and every repetition starts from w = phi = 0 with its own StreamField.
+    With debug, each row keeps replicas of its neighbors' states in the
+    table of index, checked every 100 rounds.
 
     Divergence is per config. Round i diverges a config when its deviation
     leaves the finite range or its |w| passes DIVERGENCE_LIMIT after it, or
@@ -407,23 +429,16 @@ def _monte_carlo(configs, models, prepare, width=None) -> list:
     the lowest-index diverged config whose on_divergence is "raise" raises
     NonFinite(diverged_at), as separate calls in order would have.
     """
-    configs = list(configs)
-    first = configs[0]
-    if any((c.seed, c.runs, c.iterations) != (first.seed, first.runs, first.iterations)
-           for c in configs):
-        raise BatchMismatch("configs run as one batch must share seed, runs "
-                            "and iterations")
-    n = len(models)
-    l = models[0].dim
-    if any(m.dim != l for m in models):
-        raise ValueError("all agents must share one block dimension")
+    n, l = w_opt.shape
     specs = [c.specs_for(n) for c in configs]
-    for config_specs in specs:
-        for k, s in enumerate(config_specs):
-            if s.dim != l:
-                raise ValueError(f"quantizer {k} has dim {s.dim}, agents have {l}")
-    w_opt, rounds = prepare(n, l)
+    width = index.shape[1] if debug else None
 
+    def stack(live):
+        return _plan(models, [s for b in live for s in specs[b]],
+                     [configs[b].mu for b in live],
+                     [configs[b].gamma for b in live], index, mix, len(live))
+
+    first = configs[0]
     count, t_iters = len(configs), first.iterations
     msd_acc = np.zeros((count, t_iters + 1))
     bits_acc = np.zeros((count, t_iters, n))
@@ -440,11 +455,12 @@ def _monte_carlo(configs, models, prepare, width=None) -> list:
             break
         streams = StreamField(first.seed, rep)
         state = NetworkState(len(live) * n, l, width=width)
-        round_ = rounds(_stack(configs, specs, live, n))
+        plan = stack(live)
         where = slice(None) if len(live) == count else np.array(live)
         msd_acc[where, 0] += dev0
         for i in range(t_iters):
-            bits, chi_sq = round_(state, streams, i)
+            bits, chi_sq = step(state, plan, streams, i,
+                                debug=debug and i % 100 == 0)
             m = len(live)
             bits, chi_sq = bits.reshape(m, n), chi_sq.reshape(m, n)
             dev = np.sum(((state.w.reshape(m, n, l) - w_opt) ** 2).reshape(m, -1),
@@ -472,7 +488,7 @@ def _monte_carlo(configs, models, prepare, width=None) -> list:
             if not live:
                 break
             _keep_configs(state, stay, n)
-            round_ = rounds(_stack(configs, specs, live, n))
+            plan = stack(live)
             where = np.array(live)
 
     # averaged in place; each result holds views of its config's rows
@@ -529,69 +545,37 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     stops alone; see _monte_carlo for the divergence policy of a batch.
     """
     configs = [config] if isinstance(config, RunConfig) else list(config)
-
-    def prepare(n, l):
-        if basis.u.shape[0] != n * l:
-            raise ValueError("basis ambient dimension does not match the models")
-        covs = [m.sigma_u_sq for m in models]
-        w_star = np.concatenate([m.w_star for m in models])
-        w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
-
-        nb_index, nb_mix = _neighbor_blocks(comb, n, l)
-        arrays = _model_arrays(models)
-
-        def rounds(batch):
-            m = batch.count
-            index = (nb_index + n * np.arange(m)[:, None, None]).reshape(m * n, -1)
-            blocks = np.concatenate([nb_mix] * m)
-            plan = _Plan(arrays, batch.work, index)
-
-            def round_(state, streams, i):
-                return step(state, models, batch.specs, batch.mu, batch.gamma,
-                            blocks, streams, i, debug=debug and i % 100 == 0,
-                            _plan=plan)
-            return round_
-        return w_opt, rounds
-
-    width = max(map(len, comb.topology.neighborhoods)) if debug else None
-    results = _monte_carlo(configs, models, prepare, width)
+    n, l = _check_batch(configs, models)
+    if basis.u.shape[0] != n * l:
+        raise ValueError("basis ambient dimension does not match the models")
+    covs = [m.sigma_u_sq for m in models]
+    w_star = np.concatenate([m.w_star for m in models])
+    w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
+    index, mix = _neighbor_blocks(comb, n, l)
+    results = _monte_carlo(configs, models, w_opt, index, mix, debug)
     return results[0] if isinstance(config, RunConfig) else results
 
 
 def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
     """Standalone scalar-weight diffusion recursion with quantized exchange.
 
-    Implements the consensus special case directly: psi_k = w_k - mu grad;
-    phi grows by the reconstructed innovation; w_k = (1 - gamma) phi_k +
-    gamma sum_j a_kj phi_j with scalar weights and no basis machinery.
-    Randomness follows the same stream discipline as run, so the two
-    recursions see identical draws and their trajectories can be compared
-    round for round. The deviation reference is the variance-weighted
-    network average of the local targets, replicated at every agent.
+    The consensus special case with no basis machinery: the same step as
+    run, mixing w_k = (1 - gamma) phi_k + gamma sum_j a_kj phi_j as the
+    dense product a_scalar @ phi. Randomness follows the same stream
+    discipline as run, so the two recursions see identical draws and their
+    trajectories can be compared round for round. The deviation reference
+    is the variance-weighted network average of the local targets,
+    replicated at every agent.
     """
     a_scalar = np.asarray(a_scalar, dtype=float)
-
-    def prepare(n, l):
-        if a_scalar.shape != (n, n):
-            raise ValueError("scalar combination matrix has the wrong shape")
-        weights = np.array([m.sigma_u_sq for m in models])
-        wbar = np.average(np.stack([m.w_star for m in models]), axis=0,
-                          weights=weights)
-        arrays = _model_arrays(models)
-
-        def rounds(batch):
-            def round_(state, streams, i):
-                psi = _draw_psi(state.w, arrays, batch.mu, streams, i)
-                chi = psi - state.phi
-                bits, delta = _quantize_all(batch.work, chi, streams, i, n)
-                state.phi += delta
-                state.w = ((1.0 - batch.gamma) * state.phi
-                           + batch.gamma * (a_scalar @ state.phi))
-                return bits, np.einsum("kl,kl->k", chi, chi)
-            return round_
-        return np.tile(wbar, (n, 1)), rounds
-
-    return _monte_carlo([config], models, prepare)[0]
+    n, l = _check_batch([config], models)
+    if a_scalar.shape != (n, n):
+        raise ValueError("scalar combination matrix has the wrong shape")
+    weights = np.array([m.sigma_u_sq for m in models])
+    wbar = np.average(np.stack([m.w_star for m in models]), axis=0,
+                      weights=weights)
+    return _monte_carlo([config], models, np.tile(wbar, (n, 1)), None,
+                        a_scalar)[0]
 
 
 def save_metrics_csv(path, result: RunResult, version, seed, per_agent=False):

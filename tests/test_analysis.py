@@ -349,6 +349,20 @@ def test_sweep_rejects_empty_grid():
         analysis.rate_distortion_sweep(template, models, basis, comb, [])
 
 
+def test_sweep_rejects_a_run_shorter_than_the_steady_window(monkeypatch):
+    models, basis, comb, l = sweep_setup()
+    template = RunConfig(mu=0.02, gamma=0.9, iterations=learning.STEADY_WINDOW - 1,
+                         runs=1, quantizer=quantizers.identity(l), seed=3)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a sweep that cannot finish")
+
+    monkeypatch.setattr(analysis, "run", no_run)
+    with pytest.raises(ValueError, match="steady window"):
+        analysis.rate_distortion_sweep(
+            template, models, basis, comb, [(0.1, quantizers.uniform(0.1, l))])
+
+
 def test_sweep_csv_roundtrip(tmp_path):
     pts = [analysis.SweepPoint(0.1, 12.5, 1e-3, -30.0, False),
            analysis.SweepPoint(0.2, float("nan"), float("inf"), float("inf"), True)]

@@ -1,9 +1,13 @@
-"""Generated-input properties of the audit mode, run(debug=True).
+"""Generated-input properties of the batched driver.
 
-Audit mode keeps every agent's replicas of its neighbors' reconstruction
-states in the neighbor table that mixing reads. The replicas must never
-change a drawn bit, and a replica that drifts must be caught.
+Audit mode, run(debug=True), keeps every agent's replicas of its neighbors'
+reconstruction states in the neighbor table that mixing reads. The replicas
+must never change a drawn bit, and a replica that drifts must be caught. A
+list of configs run as one stack must give each config what a run of it
+alone gives, divergence included.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,14 +106,12 @@ def test_a_drifted_replica_raises_state_desync(data):
     specs = RunConfig(mu=0.05, gamma=0.8, iterations=1,
                       quantizer=quantizer_for(data.draw, n, l)).specs_for(n)
     index, mix = learning._neighbor_blocks(comb, n, l)
-    plan = learning._Plan(learning._model_arrays(models),
-                          learning._schemes(specs, n), index)
+    plan = learning._plan(models, specs, 0.05, 0.8, index, mix)
     state = NetworkState(n, l, width=index.shape[1])
     streams = StreamField(data.draw(st.integers(0, 99)), 0)
     rounds = data.draw(st.integers(1, 5))
     for i in range(rounds):
-        learning.step(state, models, specs, 0.05, 0.8, mix, streams, i,
-                      debug=True, _plan=plan)
+        learning.step(state, plan, streams, i, debug=True)
     state.check_consistency(index)
 
     # any real neighbor's slot, the agent's own included
@@ -123,5 +125,71 @@ def test_a_drifted_replica_raises_state_desync(data):
     # a NaN survives the next update, so the round's own audit sees it
     state.copies[r, m, t] = np.nan
     with pytest.raises(learning.StateDesync):
-        learning.step(state, models, specs, 0.05, 0.8, mix, streams, rounds,
-                      debug=True, _plan=plan)
+        learning.step(state, plan, streams, rounds, debug=True)
+
+
+# ---------------------------------------------------------------------------
+# batched equals separate
+
+@st.composite
+def any_spec(draw, l):
+    """One spec of any scheme; uniform cells reach down past the IndexRange
+    edge, anq spans omega in [0, 4]."""
+    kind = draw(st.sampled_from(quantizers.KINDS))
+    if kind == "uniform":
+        return quantizers.uniform(10.0 ** draw(st.floats(-20, 0)), l)
+    if kind == "anq":
+        return quantizers.anq(draw(st.floats(0, 4)), draw(st.floats(0.005, 0.1)), l)
+    if kind == "randc":
+        return quantizers.randc(draw(st.integers(1, l)), l)
+    if kind == "gossip":
+        return quantizers.gossip(draw(st.floats(0.1, 1)), l)
+    if kind == "sparsifier":
+        return quantizers.sparsifier(draw(st.floats(0.1, 1)), l)
+    if kind == "qsgd":
+        return quantizers.qsgd(draw(st.integers(1, 8)), l)
+    return quantizers.identity(l)
+
+
+@st.composite
+def config_lists(draw):
+    models, basis, comb = draw(networks())
+    n, l = len(models), models[0].dim
+    shared = dict(iterations=draw(st.integers(1, 60)),
+                  runs=draw(st.integers(1, 3)), seed=draw(st.integers(0, 99)),
+                  on_divergence="flag")
+    configs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            quantizer = draw(any_spec(l))
+        else:
+            quantizer = draw(st.lists(any_spec(l), min_size=n, max_size=n))
+        configs.append(RunConfig(mu=draw(st.sampled_from([0.01, 0.05, 0.2, 1.5])),
+                                 gamma=draw(st.floats(0.1, 1.0)),
+                                 quantizer=quantizer, **shared))
+    return configs, models, basis, comb
+
+
+@SETTINGS
+@given(config_lists())
+def test_batched_configs_equal_separate_runs(batch):
+    configs, models, basis, comb = batch
+    alone = [learning.run(c, models, basis, comb) for c in configs]
+    for got, want in zip(learning.run(configs, models, basis, comb), alone,
+                         strict=True):
+        for field in ("msd", "bits", "chi_sq"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.diverged_at, got.runs_used) == (want.diverged_at, want.runs_used)
+
+    # under "raise" the batch raises what the first diverging config raises
+    raising = [replace(c, on_divergence="raise") for c in configs]
+    first = next((c for c, r in zip(raising, alone) if r.diverged), None)
+    if first is None:
+        learning.run(raising, models, basis, comb)
+        return
+    with pytest.raises(learning.NonFinite) as want:
+        learning.run(first, models, basis, comb)
+    with pytest.raises(learning.NonFinite) as got:
+        learning.run(raising, models, basis, comb)
+    assert got.value.iteration == want.value.iteration
+    assert type(got.value.__cause__) is type(want.value.__cause__)

@@ -152,6 +152,27 @@ def test_seed_and_out_overrides(tmp_path):
     assert exp.out_dir == "elsewhere"
 
 
+def test_negative_seed_is_a_config_error(tmp_path):
+    path = base_config(tmp_path, **{"seed = 11": "seed = -1"})
+    with pytest.raises(ConfigError, match=r"network\.seed: must be >= 0"):
+        cli.load_config(path)
+    with pytest.raises(ConfigError, match=r"network\.seed: must be >= 0"):
+        cli.load_config(base_config(tmp_path), seed_override=-5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-5"], ["verify", "--seed", "-5"],
+    ["rate-distortion", "--seed", "-5"], ["run"]])
+def test_negative_seed_exits_with_config_error(tmp_path, capsys, argv):
+    # before: numpy's "expected non-negative integer" traceback
+    extra = "\n[sweep]\nschemes = uniform\nvalues = 0.1\n"
+    edits = {} if "--seed" in argv else {"seed = 11": "seed = -1"}
+    path = base_config(tmp_path, extra=extra, **edits)
+    assert cli.main(argv[:1] + ["--config", path] + argv[1:]) == 1
+    assert "config error: network.seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eta_auto_resolution():
     spec = cli.resolve_quantizer("anq:omega=0.25,eta=auto", 0.01, 5, 32)
     assert spec.kind == "anq"
@@ -395,6 +416,20 @@ def test_rate_distortion_rejects_unsweepable_scheme(tmp_path, capsys):
     assert "sweep.schemes" in capsys.readouterr().err
 
 
+def test_rate_distortion_below_the_steady_window_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # before: the whole sweep ran, then steady_mean raised a ValueError
+    def no_setup(exp):
+        raise AssertionError("built the network for a sweep that cannot finish")
+
+    monkeypatch.setattr(cli, "build_setup", no_setup)
+    extra = "\n[sweep]\nschemes = uniform\nvalues = 0.1\n"
+    path = base_config(tmp_path, iters=100, extra=extra)
+    assert cli.main(["rate-distortion", "--config", path]) == 1
+    assert "config error: algorithm.iterations: must be >= 500" in (
+        capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("scheme", ["anq:omega=nan", "anq:omega=1e200"])
 def test_rate_distortion_rejects_a_scheme_without_finite_budget(tmp_path, capsys,
                                                                  scheme):
@@ -406,6 +441,11 @@ def test_rate_distortion_rejects_a_scheme_without_finite_budget(tmp_path, capsys
 
 # ---------------------------------------------------------------------------
 # quantizer-test
+
+def test_quantizer_test_negative_seed_is_a_config_error(capsys):
+    assert cli.main(["quantizer-test", "identity", "--seed", "-1"]) == 1
+    assert "config error: --seed: must be >= 0" in capsys.readouterr().err
+
 
 def test_quantizer_test_uniform_and_identity(capsys):
     assert cli.main(["quantizer-test", "uniform:delta=0.2", "--dim", "4",

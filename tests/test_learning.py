@@ -76,6 +76,20 @@ def test_run_config_validation():
         RunConfig(**{**good, "on_divergence": "ignore"})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must be >= 0"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("iterations", 2.5, "iterations must be an integer"),
+    ("runs", 1.5, "runs must be an integer"),
+    ("runs", 2.0, "runs must be an integer"),
+])
+def test_run_config_rejects_negative_or_fractional_counts(field, value, message):
+    # before: accepted here, then a numpy ValueError or TypeError from run
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**{"mu": 0.01, "gamma": 0.5, "iterations": 10, field: value})
+    RunConfig(mu=0.01, gamma=0.5, iterations=np.int64(10), seed=np.uint32(3))
+
+
 def test_specs_for_broadcast_and_mismatch():
     sp = quantizers.identity(3)
     cfg = RunConfig(mu=0.01, gamma=1.0, iterations=1, quantizer=sp)
@@ -177,6 +191,8 @@ def test_two_agent_step_by_hand():
     specs = [quantizers.identity(1)] * 2
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
     a = comb.a  # scalar entries, l = 1
+    plan = learning._plan(models, specs, mu, gamma,
+                          np.broadcast_to(np.arange(n), (n, n)), blocks)
 
     state = NetworkState(n, l)
     streams = StreamField(seed, 0)
@@ -198,7 +214,7 @@ def test_two_agent_step_by_hand():
         w_hand = [(1 - gamma) * phi_hand[k]
                   + gamma * (a[k, 0] * phi_hand[0] + a[k, 1] * phi_hand[1])
                   for k in range(n)]
-        learning.step(state, models, specs, mu, gamma, blocks, streams, i)
+        learning.step(state, plan, streams, i)
         assert np.max(np.abs(state.w[:, 0] - np.array(w_hand))) < 1e-12
         assert np.max(np.abs(state.phi[:, 0] - np.array(phi_hand))) < 1e-12
 
@@ -237,12 +253,13 @@ def test_additive_noise_form_at_gamma_one():
     spec = quantizers.anq(0.5, 0.05, l)
     specs = [spec] * n
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
+    plan = learning._plan(models, specs, 0.05, 1.0,
+                          np.broadcast_to(np.arange(n), (n, n)), blocks)
     state = NetworkState(n, l)
     streams = StreamField(3, 0)
     for i in range(20):
         trace = {}
-        learning.step(state, models, specs, 0.05, 1.0, blocks, streams, i,
-                      trace=trace)
+        learning.step(state, plan, streams, i, trace=trace)
         assert np.max(np.abs(trace["z"])) > 0  # quantization actually active
         y = trace["psi"] - trace["z"]
         w_expect = np.einsum("kjst,jt->ks", blocks, y)
@@ -259,16 +276,15 @@ def test_replica_consistency_and_desync_detection():
                     quantizer=quantizers.anq(0.5, 0.05, l), seed=19)
     learning.run(cfg, models, basis, comb, debug=True)  # no StateDesync
 
-    # without a plan step mixes over the full (n, n) index, so the replica
-    # table is n wide and copies[k, j] is agent k's replica of agent j
+    # a dense view mixes over the full (n, n) index, so the replica table
+    # is n wide and copies[k, j] is agent k's replica of agent j
     index = np.broadcast_to(np.arange(n), (n, n))
     state = NetworkState(n, l, width=n)
     streams = StreamField(19, 0)
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
-    specs = cfg.specs_for(n)
+    plan = learning._plan(models, cfg.specs_for(n), 0.02, 0.8, index, blocks)
     for i in range(5):
-        learning.step(state, models, specs, 0.02, 0.8, blocks, streams, i,
-                      debug=True)
+        learning.step(state, plan, streams, i, debug=True)
     state.check_consistency(index)
     k = 0
     j = next(iter(top.neighborhoods[k] - {k}))
@@ -282,8 +298,7 @@ def test_replica_consistency_and_desync_detection():
         NetworkState(n, l, True)
     # an option passed positionally after the iteration binds to nothing
     with pytest.raises(TypeError):
-        learning.step(state, models, specs, 0.02, 0.8, blocks, streams, 5,
-                      np.ones((n, n)))
+        learning.step(state, plan, streams, 5, True)
 
 
 def _dense_combine(comb, phi):
@@ -715,7 +730,7 @@ def test_nan_iterate_below_the_limit_diverges_its_config_alone(monkeypatch):
 
     def nan_step(state, *args, **kwargs):
         out = real_step(state, *args, **kwargs)
-        if args[6] == at and state.n == len(configs) * 6:
+        if args[2] == at and state.n == len(configs) * 6:
             state.w[poisoned * 6:(poisoned + 1) * 6] = np.nan
         return out
 

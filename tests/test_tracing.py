@@ -1,0 +1,49 @@
+"""The benchmark tracer's contract with the library.
+
+benchmarks/tracing.py wraps library functions by name, at the attribute the
+caller looks up at call time. A rename under src/ must fail here, not only in
+a traced benchmark run, and every round of both recursions must pass through
+the one traced step.
+"""
+
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from subspaceq import graphs, learning, quantizers
+from subspaceq.learning import DataModel, RunConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # executed from its source, so nothing is written next to it
+    module = types.ModuleType("tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_every_traced_boundary_exists(tracing):
+    for owner, attr, _ in tracing.BOUNDARIES:
+        assert attr in owner.__dict__, f"{owner.__name__} has no {attr}"
+
+
+@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+def test_every_round_is_one_traced_step(tracing, entry):
+    n, l, runs, iterations = 4, 2, 2, 3
+    top = graphs.build_topology(n, 1.0, seed=1)
+    basis = graphs.subspace_consensus(n, l)
+    comb = graphs.build_combination(top, basis, mode="consensus-metropolis")
+    models = [DataModel(2.0, 0.1, np.full(l, 0.5)) for _ in range(n)]
+    cfg = RunConfig(mu=0.05, gamma=0.8, iterations=iterations, runs=runs,
+                    quantizer=quantizers.uniform(0.1, l))
+    tracer = tracing.Tracer("contract", 0)
+    with tracer.patched():
+        if entry == "run":
+            learning.run(cfg, models, basis, comb)
+        else:
+            learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
+    assert tracer.layers()["learning.step"][0] == runs * iterations
