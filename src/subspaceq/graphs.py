@@ -9,16 +9,17 @@ orthogonal to it (rho(A - U U^T) < 1).
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 TOL_CONSTRAINT = 1e-8   # AU = U, U^T A = U^T residuals
 TOL_ORTHO = 1e-10       # basis orthonormality
 CONNECT_RETRY_BUDGET = 100
+_DENSE_BLOCK = 2**17    # entries per block of rows of a transient dense matrix
 
 __all__ = [
     "Topology",
@@ -74,12 +75,46 @@ class SingularProjection(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Topology:
+    """Undirected connected graph on agents 0..n-1, held as its edge list in
+    O(edges) memory. The neighbourhoods are built on first read and kept;
+    the dense 0/1 matrix (edge_weights) is built on every read. The
+    simulation loop reads neither."""
+
     n: int
-    neighborhoods: tuple          # per-agent frozenset, always containing the agent
-    edge_weights: np.ndarray      # symmetric 0/1 link indicator, zero diagonal
+    links: np.ndarray             # (2, 2E): each edge as (k, j) and (j, k), by k then j
+
+    @functools.cached_property
+    def neighborhoods(self) -> tuple:
+        """Per-agent frozenset of neighbours, always containing the agent."""
+        cols = self.links[1].tolist()
+        starts = np.searchsorted(self.links[0], np.arange(self.n + 1)).tolist()
+        return tuple(frozenset(cols[starts[k]:starts[k + 1]]) | {k}
+                     for k in range(self.n))
 
     def degree(self, k) -> int:
         return len(self.neighborhoods[k])
+
+    @property
+    def edge_weights(self) -> np.ndarray:
+        """Symmetric 0/1 link indicator, zero diagonal; a new (n, n) array
+        each read."""
+        w = np.zeros((self.n, self.n))
+        w[self.links[0], self.links[1]] = 1.0
+        return w
+
+    def neighbor_index(self) -> tuple:
+        """Each agent's neighbourhood, the agent included, in ascending
+        order as an (n, d_max) index padded at the end with the agent
+        itself; and the neighbourhood sizes, (n,)."""
+        n = self.n
+        keys = np.concatenate([self.links[0] * n + self.links[1],
+                               np.arange(n) * (n + 1)])
+        keys.sort()
+        rows, cols = np.divmod(keys, n)
+        sizes = np.bincount(rows, minlength=n)
+        index = np.repeat(np.arange(n)[:, None], sizes.max(), axis=1)
+        index[rows, np.arange(keys.size) - (np.cumsum(sizes) - sizes)[rows]] = cols
+        return index, sizes
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,24 +140,52 @@ class SubspaceBasis:
 
 @dataclass(frozen=True, eq=False)
 class CombinationMatrix:
-    """Combination matrix A, held either dense or as its n x n factor.
+    """Combination matrix A, held either dense or factored.
 
-    With ``factored`` set, ``matrix`` is the scalar weight matrix W and
-    A = W kron I_l for the common block size l; the dense A is then never
-    stored, and ``a`` builds it on every read.
+    A dense A is stored as ``dense``, M x M with block sparsity. A factored
+    A = W kron I_l, for the common block size l, stores only the table of
+    the scalar weights W, in O(n d_max) memory: ``index`` holds each agent's
+    neighbours in ascending order, padded at the end with the agent itself
+    to the largest neighbourhood size d_max, as Topology.neighbor_index
+    gives it, and ``weights`` holds W[k, index[k, m]], zero at the padding.
+    ``matrix`` is what checks and reports read, the dense A, or W when
+    factored; ``a`` is always the dense A. Both are built on every read
+    when factored.
     """
 
-    matrix: np.ndarray            # M x M with block sparsity, or the factor W
+    dense: np.ndarray | None      # M x M, None when factored
     topology: Topology
     block_dims: tuple
-    factored: bool = False
+    index: np.ndarray | None = None     # (n, d_max) neighbour agents
+    weights: np.ndarray | None = None   # (n, d_max) W at index
+
+    @property
+    def factored(self) -> bool:
+        return self.index is not None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense A, or the n x n W when factored (a new array each read)."""
+        if self.factored:
+            return _table_dense(self.topology.n, self.index, self.weights)
+        return self.dense
 
     @property
     def a(self) -> np.ndarray:
         """The dense M x M matrix (a new array each read when factored)."""
         if self.factored:
             return np.kron(self.matrix, np.eye(self.block_dims[0]))
-        return self.matrix
+        return self.dense
+
+
+def _table_dense(n, index, weights) -> np.ndarray:
+    """The dense (rows, n) matrix holding weights[r, m] at column
+    index[r, m]; a zero weight (the padding) writes nothing, so the columns
+    written are distinct and the one fancy assignment is well defined."""
+    out = np.zeros((index.shape[0], n))
+    r, m = np.nonzero(weights)
+    out[r, index[r, m]] = weights[r, m]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +194,32 @@ class CombinationMatrix:
 def _from_edges(n, i, j):
     """Topology of the undirected 0-indexed edges (i[e], j[e]); self-loops
     and repeated edges are allowed and ignored."""
-    w = np.zeros((n, n))
-    w[i, j] = 1.0
-    w[j, i] = 1.0
-    np.fill_diagonal(w, 0.0)
-    ncomp, _ = connected_components(sp.csr_matrix(w + np.eye(n)), directed=False)
+    off = i != j
+    i, j = i[off], j[off]
+    keys = np.unique(np.concatenate([i * n + j, j * n + i]))
+    links = np.stack(np.divmod(keys, n))
+    ncomp = _components(n, links)
     if ncomp != 1:
         raise NotConnected(f"{ncomp} components")
-    sets = tuple(frozenset(np.flatnonzero(row).tolist()) | {k}
-                 for k, row in enumerate(w))
-    return Topology(n, sets, w)
+    return Topology(n, links)
+
+
+def _components(n, links) -> int:
+    """Number of connected components of the graph on n agents with links
+    (2, 2E), each edge in both directions. Every agent points to an agent
+    of its component no higher than itself, a root to itself. Each round
+    hooks every root onto the lowest root its members link to, then moves
+    every pointer to its root; a round that moves nothing leaves one root
+    per component, its lowest agent."""
+    labels = np.arange(n)
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, labels[links[0]], labels[links[1]])
+        while not np.array_equal(low[low], low):
+            low = low[low]
+        if np.array_equal(low, labels):
+            return int(np.count_nonzero(labels == np.arange(n)))
+        labels = low
 
 
 def build_topology(n, connectivity, seed=None) -> Topology:
@@ -150,6 +229,9 @@ def build_topology(n, connectivity, seed=None) -> Topology:
     independent links are drawn and redrawn (up to a fixed retry budget) until
     the graph is connected, or an explicit edge list of 1-indexed pairs.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"agent count n must be an integer, got {n!r}")
+    n = int(n)
     if n < 2:
         raise ValueError("need at least two agents")
     if np.isscalar(connectivity) and not isinstance(connectivity, (tuple, list)):
@@ -206,7 +288,8 @@ def laplacian(topology: Topology, uniform_weight: float) -> np.ndarray:
     """Weighted graph Laplacian diag(C 1) - C with uniform link weight."""
     if not 0 < uniform_weight < np.inf:
         raise ValueError("weight must be positive and finite")
-    c = uniform_weight * topology.edge_weights
+    c = np.zeros((topology.n, topology.n))
+    c[topology.links[0], topology.links[1]] = uniform_weight
     return np.diag(c.sum(axis=1)) - c
 
 
@@ -255,13 +338,30 @@ def spectral_radius(mat) -> float:
 # combination matrices
 
 def metropolis_weights(topology: Topology) -> np.ndarray:
-    """Doubly stochastic scalar weights 1/max(|N_k|, |N_l|) off the diagonal."""
-    deg = np.array([len(nb) for nb in topology.neighborhoods])
-    rows, cols = np.nonzero(topology.edge_weights)
-    a = np.zeros((topology.n, topology.n))
-    a[rows, cols] = 1.0 / np.maximum(deg[rows], deg[cols])
-    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-    return a
+    """Doubly stochastic scalar weights 1/max(|N_k|, |N_l|) off the diagonal,
+    dense (n, n)."""
+    return _table_dense(topology.n, *_metropolis_table(topology))
+
+
+def _metropolis_table(topology: Topology) -> tuple:
+    """The Metropolis weights as the table of a factored CombinationMatrix:
+    (index, weights) over Topology.neighbor_index. Each diagonal weight is
+    1 minus its dense row's off-diagonal sum: numpy sums a row pairwise,
+    in an order set by the column positions, so the rows are built dense,
+    a block of them at a time."""
+    index, sizes = topology.neighbor_index()
+    n = topology.n
+    rows = np.arange(n)[:, None]
+    off = (np.arange(index.shape[1]) < sizes[:, None]) & (index != rows)
+    weights = np.where(off, 1.0 / np.maximum(sizes[:, None], sizes[index]), 0.0)
+    diag = np.empty(n)
+    block = max(1, _DENSE_BLOCK // n)
+    for start in range(0, n, block):
+        part = slice(start, start + block)
+        diag[part] = 1.0 - _table_dense(n, index[part], weights[part]).sum(axis=1)
+    # an agent's first slot holding itself is its own; later ones are padding
+    weights[rows[:, 0], np.argmax(index == rows, axis=1)] = diag
+    return index, weights
 
 
 def _block_slices(block_dims):
@@ -280,7 +380,11 @@ def _is_consensus_basis(basis: SubspaceBasis) -> bool:
 
 def _constrained_lsq(topology, basis):
     # minimize ||A - P_U||_F^2 over the free block entries subject to
-    # A U = U and U^T A = U^T, via a lightly regularized sparse KKT system
+    # A U = U and U^T A = U^T, via a lightly regularized sparse KKT system;
+    # scipy.sparse is imported on this path only, so that a process that
+    # never fits does not load it (about 1.6 MB resident)
+    import scipy.sparse as sp
+
     u = basis.u
     m, p = u.shape
     slices = _block_slices(basis.block_dims)
@@ -374,8 +478,8 @@ def build_combination(topology, basis, mode="subspace-lsq") -> CombinationMatrix
     if mode == "consensus-metropolis":
         if not _is_consensus_basis(basis):
             raise ValueError("consensus-metropolis needs the consensus basis")
-        comb = CombinationMatrix(metropolis_weights(topology), topology,
-                                 tuple(basis.block_dims), factored=True)
+        comb = CombinationMatrix(None, topology, tuple(basis.block_dims),
+                                 *_metropolis_table(topology))
     elif mode == "subspace-lsq":
         comb = CombinationMatrix(_constrained_lsq(topology, basis), topology,
                                  tuple(basis.block_dims))

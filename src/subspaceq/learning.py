@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quantizers
 from .graphs import CombinationMatrix, SubspaceBasis, compute_wopt
-from .streams import GRADIENT, QUANTIZE, StreamField
+from .streams import QUANTIZE, StreamField
 
 DIVERGENCE_LIMIT = 1e12
 STEADY_WINDOW = 500
@@ -209,13 +209,12 @@ def _draw_psi(w, arrays, mu, streams, iteration):
     each agent's own stream, arithmetic stacked. Row k matches
     w[k] - mu * sample_gradient(models[k], w[k], stream) to rounding order.
     w may stack copies of the network as consecutive blocks of n rows, with
-    mu a scalar or a matching column; each agent's cell is drawn once, and
-    its u and d broadcast over the copies."""
+    mu a scalar or a matching column; each agent's cell is drawn once, all
+    in one StreamField.normals call, and its u and d broadcast over the
+    copies."""
     sqrt_su, sqrt_sv, w_star = arrays
     n, l = w_star.shape
-    z = np.empty((n, l + 1))
-    for k in range(n):
-        z[k] = streams.stream(iteration, k, GRADIENT).standard_normal(l + 1)
+    z = streams.normals(iteration, range(n), np.empty((n, l + 1)))
     u = sqrt_su * z[:, :l]
     d = np.einsum("kl,kl->k", u, w_star) + sqrt_sv * z[:, l]
     blocks = w.reshape(-1, n, l)
@@ -263,15 +262,14 @@ def _flagged_batch(specs, xs, us):
 def _quantize_all(work, chi, streams, iteration, n):
     """Broadcast phase: quantize every row's innovation against its agent's
     stream, bit-identical to quantizing agent by agent. work is _schemes of
-    the stack. Each agent's uniforms are drawn once for all its rows; each
-    scheme but randc is one quantize_batch call, and randc rows quantize one
-    by one. A row whose level index would leave the exact range gets NaN."""
+    the stack. Each agent's uniforms are drawn once for all its rows, all in
+    one StreamField.uniforms call; each scheme but randc is one
+    quantize_batch call, and randc rows quantize one by one. A row whose
+    level index would leave the exact range gets NaN."""
     schemes, readers = work
     bits = np.empty(chi.shape[0])
     delta = np.empty(chi.shape)
-    us = np.empty((n, chi.shape[1]))
-    for k in readers:
-        us[k] = streams.stream(iteration, k, QUANTIZE).random(chi.shape[1])
+    us = streams.uniforms(iteration, readers, np.empty((n, chi.shape[1])))
     for kind, rows, agents, specs in schemes:
         if kind == "randc":
             for r, k, spec in zip(rows.tolist(), agents.tolist(), specs):
@@ -370,19 +368,18 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
 def _neighbor_blocks(comb: CombinationMatrix, n, l):
     """Each agent's neighbors in ascending order as an (n, d_max) index,
     padded at the end with the agent itself, and what A holds for them, zero
-    at the padding. A factored A = W kron I_l gives the scalar weights
-    W[k, j] as (n, d_max) and never reads A; a dense A gives its blocks as
-    (n, d_max, l, l). Mixing the weights adds the same products in the same
-    neighbor order as mixing the blocks W[k, j] I_l, whose other terms are
-    0 * phi = +-0, so both give the same bits."""
-    nbhd = [sorted(nb) for nb in comb.topology.neighborhoods]
-    d_max = max(len(nb) for nb in nbhd)
-    index = np.array([nb + [k] * (d_max - len(nb)) for k, nb in enumerate(nbhd)])
-    real = np.arange(d_max) < np.array([len(nb) for nb in nbhd])[:, None]
-    rows = np.arange(n)[:, None]
+    at the padding. A factored A = W kron I_l is already stored as this
+    table, the scalar weights W[k, j] as (n, d_max), and A is never read; a
+    dense A gives its blocks as (n, d_max, l, l). Mixing the weights adds
+    the same products in the same neighbor order as mixing the blocks
+    W[k, j] I_l, whose other terms are 0 * phi = +-0, so both give the same
+    bits."""
     if comb.factored:
-        return index, np.where(real, comb.matrix[rows, index], 0.0)
-    blocks = comb.matrix.reshape(n, l, n, l).transpose(0, 2, 1, 3)[rows, index]
+        return comb.index, comb.weights
+    index, sizes = comb.topology.neighbor_index()
+    real = np.arange(index.shape[1]) < sizes[:, None]
+    blocks = comb.dense.reshape(n, l, n, l).transpose(0, 2, 1, 3)[
+        np.arange(n)[:, None], index]
     return index, np.where(real[:, :, None, None], blocks, 0.0)
 
 

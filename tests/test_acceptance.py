@@ -227,6 +227,7 @@ def test_consensus_reduction_equivalence():
                   f"bit streams identical: {same_bits}")
 
 
+@pytest.mark.slow
 def test_step_size_msd_scaling(mc_bundle):
     s = {f: learning.steady_mean(mc_bundle[f].msd_db) for f in (1.0, 2.0, 4.0)}
     d1 = s[2.0] - s[1.0]
@@ -238,6 +239,7 @@ def test_step_size_msd_scaling(mc_bundle):
                   f"(target 3.0 +/- 1.0), bundle {mc_bundle['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_bit_rate_boundedness(mc_bundle):
     rates = {f: learning.steady_mean(mc_bundle[f].rate)
              for f in (0.25, 0.5, 1.0)}
@@ -262,6 +264,7 @@ def test_qsgd_fixed_rate():
                   "bits/component exactly")
 
 
+@pytest.mark.slow
 def test_rate_distortion_tradeoff():
     t0 = time.time()
     top, basis, comb = consensus_network(10, L_VEC)
@@ -361,6 +364,7 @@ def test_mixing_parameter_dichotomy_realized_budget():
                   f"diverged={d1}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_per_agent_rate_bound(mc_bundle):
     worst = np.inf
     for f in (1.0, 2.0, 4.0):
@@ -377,6 +381,7 @@ def test_per_agent_rate_bound(mc_bundle):
                   f"tightest margin {worst:.2f} bits/message")
 
 
+@pytest.mark.slow
 def test_innovation_power_scaling(mc_bundle):
     chi1 = np.mean(mc_bundle[1.0].chi_sq[-500:], axis=0)
     chi2 = np.mean(mc_bundle[0.5].chi_sq[-500:], axis=0)

@@ -336,12 +336,19 @@ def test_verify_flags_an_off_neighborhood_weight(tmp_path, capsys,
         top, basis, comb, models = real_setup(exp)
         k, j = next((k, j) for k in range(top.n) for j in range(top.n)
                     if j not in top.neighborhoods[k])
-        w = comb.matrix.copy()
+        w = comb.matrix
         w[k, j] = w[j, k] = 1e-3
         w[k, k] -= 1e-3
         w[j, j] -= 1e-3
+        # stored as a factored table: each row's nonzeros in ascending
+        # order, padded with the agent itself at weight 0
+        cols = [np.flatnonzero(row).tolist() for row in w]
+        width = max(map(len, cols))
+        index = np.array([c + [r] * (width - len(c)) for r, c in enumerate(cols)])
+        real = np.arange(width) < np.array([len(c) for c in cols])[:, None]
+        weights = np.where(real, np.take_along_axis(w, index, axis=1), 0.0)
         return top, basis, graphs.CombinationMatrix(
-            w, top, comb.block_dims, comb.factored), models
+            None, top, comb.block_dims, index, weights), models
 
     monkeypatch.setattr(cli, "build_setup", tampered_setup)
     extra_edit = {"connectivity = 1.0":

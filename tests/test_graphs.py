@@ -6,12 +6,15 @@ a weighted least squares route for the constrained optimum, and cvxpy for the
 constrained combination fit.
 """
 
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from subspaceq import graphs
@@ -217,6 +220,82 @@ def test_edge_list_must_hold_pairs():
         build_topology(3, [(1, 2, 3)])
     with pytest.raises(NotConnected):
         build_topology(3, [])
+
+
+@pytest.mark.parametrize("connectivity", [1.0, [(1, 2), (2, 3)]],
+                         ids=["probability", "edges"])
+def test_agent_count_must_be_an_integer(connectivity):
+    with pytest.raises(ValueError, match="agent count n must be an integer"):
+        build_topology(3.5, connectivity)
+    with pytest.raises(ValueError, match="need at least two agents"):
+        build_topology(True, connectivity)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(2, 40))
+def test_connectivity_check_counts_components_as_csgraph(data, n):
+    # a shuffled path with some links cut (long chains of pointers), plus
+    # random chords and self-loops
+    order = data.draw(st.permutations(range(1, n + 1)))
+    cut = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    edges = [(a, b) for a, b, c in zip(order, order[1:], cut) if not c]
+    edges += data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                                max_size=n // 2))
+    w = np.zeros((n, n))
+    for k, j in edges:
+        w[k - 1, j - 1] = w[j - 1, k - 1] = 1.0
+    ncomp, _ = connected_components(sp.csr_matrix(w), directed=False)
+    if ncomp == 1:
+        assert build_topology(n, edges).n == n
+    else:
+        with pytest.raises(NotConnected, match=f"^{ncomp} components$"):
+            build_topology(n, edges)
+
+
+def old_dense_set_up(top, l):
+    """Reference: the dense 0/1 matrix, then the dense Metropolis formula and
+    its Kronecker product, as the topology and matrix once stored them."""
+    n = top.n
+    w = np.zeros((n, n))
+    for k, nb in enumerate(top.neighborhoods):
+        w[k, sorted(nb - {k})] = 1.0
+    deg = np.array([len(nb) for nb in top.neighborhoods])
+    rows, cols = np.nonzero(w)
+    a = np.zeros((n, n))
+    a[rows, cols] = 1.0 / np.maximum(deg[rows], deg[cols])
+    np.fill_diagonal(a, 1.0 - a.sum(axis=1))
+    return w, a, np.kron(a, np.eye(l))
+
+
+@pytest.mark.parametrize("n, connectivity, l", [
+    (2, 1.0, 3), (30, 0.2, 2), (120, 1.0, 1), (1000, 0.01, 2),
+])
+def test_set_up_holds_tables_and_builds_dense_views_bitwise(n, connectivity, l):
+    top = build_topology(n, connectivity, seed=4)
+    comb = build_combination(top, subspace_consensus(n, l), "consensus-metropolis")
+    w, a, kron = old_dense_set_up(top, l)
+    assert np.array_equal(top.edge_weights, w)
+    assert np.array_equal(metropolis_weights(top), a)
+    assert np.array_equal(comb.matrix, a) and np.array_equal(comb.a, kron)
+    # what is kept is the table: sorted neighbourhoods padded with the agent
+    index, sizes = top.neighbor_index()
+    assert np.array_equal(comb.index, index) and comb.dense is None
+    for k, nb in enumerate(top.neighborhoods):
+        assert index[k, :sizes[k]].tolist() == sorted(nb)
+        assert np.all(index[k, sizes[k]:] == k)
+        assert np.array_equal(comb.weights[k], np.where(
+            np.arange(index.shape[1]) < sizes[k], a[k, index[k]], 0.0))
+
+
+def test_consensus_set_up_keeps_no_dense_matrix():
+    # n = 1,000: the dense W alone is 8 MB, the kept set-up a small part,
+    # also once the neighbourhoods have been read and kept
+    top = build_topology(1000, 0.01, seed=4)
+    comb = build_combination(top, subspace_consensus(1000, 5), "consensus-metropolis")
+    assert comb.matrix.nbytes == 8_000_000
+    assert top.neighborhoods is top.neighborhoods
+    assert len(pickle.dumps((top, comb))) < 2**20
+
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the counter-based stream lattice."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspaceq.streams import GRADIENT, QUANTIZE, StreamField
 
@@ -54,3 +56,39 @@ def test_runs_and_seeds_are_separate_lattices():
     b = StreamField(5, run=1).stream(0, 0, GRADIENT).random(L)
     c = StreamField(6, run=0).stream(0, 0, GRADIENT).random(L)
     assert not np.array_equal(a, b) and not np.array_equal(a, c)
+
+
+# each array call and the draw it must reproduce from a fresh cell
+ARRAY_CALLS = {
+    "normals": (GRADIENT, lambda g, width: g.standard_normal(width)),
+    "uniforms": (QUANTIZE, lambda g, width: g.random(width)),
+}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), run=st.integers(0, 3),
+       iteration=st.one_of(st.integers(0, 9), st.integers(0, 2**40)),
+       agents=st.lists(st.integers(0, 40), unique=True, max_size=12),
+       width=st.integers(1, 7), call=st.sampled_from(sorted(ARRAY_CALLS)),
+       partial=st.booleans(), cell=st.tuples(st.integers(0, 2**40),
+                                             st.integers(0, 40)))
+def test_array_calls_equal_fresh_generators(seed, run, iteration, agents, width,
+                                            call, partial, cell):
+    # agents come in any order; every row but theirs stays as it was
+    field = StreamField(seed, run=run)
+    purpose, draw = ARRAY_CALLS[call]
+    if partial:
+        # a half word left by a cell's permutation must not reach the call
+        field.stream(*cell, QUANTIZE).permutation(L)
+    out = np.full((41, width), np.nan)
+    assert getattr(field, call)(iteration, agents, out) is out
+    for k in range(41):
+        want = (draw(fresh(field, iteration, k, purpose), width) if k in agents
+                else np.full(width, np.nan))
+        assert np.array_equal(out[k], want, equal_nan=True), k
+    # nor may what the call leaves reach a later cell: permutation consumes
+    # 32-bit halves, random() whole words
+    g = field.stream(*cell, QUANTIZE)
+    got = (g.permutation(L), g.random())
+    ref = fresh(field, *cell, QUANTIZE)
+    assert np.array_equal(got[0], ref.permutation(L)) and got[1] == ref.random()

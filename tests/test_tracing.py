@@ -47,3 +47,22 @@ def test_every_round_is_one_traced_step(tracing, entry):
         else:
             learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
     assert tracer.layers()["learning.step"][0] == runs * iterations
+
+
+def test_every_stream_cell_is_one_traced_stream_call(tracing):
+    # two lanes per agent and round: the GRADIENT cell, and the QUANTIZE
+    # cell that every scheme but identity reads, randc per row and the
+    # others through StreamField.uniforms
+    n, l, runs, iterations = 4, 2, 2, 3
+    top = graphs.build_topology(n, 1.0, seed=1)
+    basis = graphs.subspace_consensus(n, l)
+    comb = graphs.build_combination(top, basis, mode="consensus-metropolis")
+    models = [DataModel(2.0, 0.1, np.full(l, 0.5)) for _ in range(n)]
+    mix = [quantizers.randc(1, l), quantizers.uniform(0.1, l),
+           quantizers.gossip(0.5, l), quantizers.qsgd(4, l)]
+    cfg = RunConfig(mu=0.05, gamma=0.8, iterations=iterations, runs=runs,
+                    quantizer=mix)
+    tracer = tracing.Tracer("contract", 0)
+    with tracer.patched():
+        learning.run(cfg, models, basis, comb)
+    assert tracer.layers()["streams.stream"][0] == 2 * runs * iterations * n
