@@ -357,11 +357,10 @@ def cmd_verify(exp: Experiment) -> int:
     ok &= rho < 1.0
     print(f"{line} complement contraction: rho {rho:.6f}")
 
-    # a factored matrix has 1 x 1 blocks: A's block (k, j) is W[k, j] I_l
-    nl = 1 if comb.factored else exp.l
-    nonzero = np.any(matrix.reshape(exp.n, nl, exp.n, nl) != 0.0, axis=(1, 3))
-    pattern_ok = all(set(np.flatnonzero(row)) <= nb
-                     for row, nb in zip(nonzero, top.neighborhoods))
+    # every table slot holding a weight, W[k, j] or a block, names a neighbour
+    held = comb.weights.reshape(*comb.index.shape, -1).any(axis=2)
+    pattern_ok = all(set(row[keep].tolist()) <= nb for row, keep, nb
+                     in zip(comb.index, held, top.neighborhoods))
     ok &= pattern_ok
     detail = "off-neighborhood blocks all zero" if pattern_ok else "nonzero block found"
     print(f"{'PASS' if pattern_ok else 'FAIL'} sparsity pattern: {detail}")
@@ -414,6 +413,7 @@ def cmd_rate_distortion(exp: Experiment, workers=1) -> int:
     if exp.iterations < learning.STEADY_WINDOW:
         raise ConfigError(f"algorithm.iterations: must be >= {learning.STEADY_WINDOW}, "
                           "the steady window each sweep point averages")
+    grids = _sweep_grid(exp)     # a scheme it cannot sweep fails before set-up
     top, basis, comb, models = build_setup(exp)
     out = Path(exp.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -422,7 +422,6 @@ def cmd_rate_distortion(exp: Experiment, workers=1) -> int:
     template = RunConfig(mu=mu, gamma=exp.gamma, iterations=exp.iterations,
                          runs=exp.runs, quantizer=quantizers.identity(exp.l),
                          seed=exp.seed, on_divergence="flag")
-    grids = _sweep_grid(exp)
     flat = _map_chunks(_sweep_job, (template, models, basis, comb),
                        [point for _, points in grids for point in points],
                        workers)

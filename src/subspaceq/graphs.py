@@ -54,7 +54,7 @@ class NotConnected(ValueError):
 
 
 class InvalidEdgeList(ValueError):
-    """Edge list with out-of-range agent indices."""
+    """Edge list with out-of-range agent indices or a malformed line."""
 
 
 class EigenFailure(RuntimeError):
@@ -140,50 +140,76 @@ class SubspaceBasis:
 
 @dataclass(frozen=True, eq=False)
 class CombinationMatrix:
-    """Combination matrix A, held either dense or factored.
+    """Combination matrix A, held as its neighbour table in O(n d_max)
+    memory, since block (k, j) of A is zero unless j neighbours k.
 
-    A dense A is stored as ``dense``, M x M with block sparsity. A factored
-    A = W kron I_l, for the common block size l, stores only the table of
-    the scalar weights W, in O(n d_max) memory: ``index`` holds each agent's
-    neighbours in ascending order, padded at the end with the agent itself
-    to the largest neighbourhood size d_max, as Topology.neighbor_index
-    gives it, and ``weights`` holds W[k, index[k, m]], zero at the padding.
-    ``matrix`` is what checks and reports read, the dense A, or W when
-    factored; ``a`` is always the dense A. Both are built on every read
-    when factored.
+    ``index`` holds each agent's neighbours in ascending order, padded at
+    the end with the agent itself to the largest neighbourhood size d_max,
+    as Topology.neighbor_index gives it; ``weights`` holds A there, zero at
+    the padding: the scalar W, (n, d_max), when A = W kron I_l
+    (``factored``), else l x l blocks, (n, d_max, l, l). ``matrix``, what
+    checks read (W when factored, else A), and ``a``, the dense A, are new
+    arrays on every read.
     """
 
-    dense: np.ndarray | None      # M x M, None when factored
     topology: Topology
     block_dims: tuple
-    index: np.ndarray | None = None     # (n, d_max) neighbour agents
-    weights: np.ndarray | None = None   # (n, d_max) W at index
+    index: np.ndarray             # (n, d_max) neighbour agents
+    weights: np.ndarray           # (n, d_max) W, or (n, d_max, l, l) blocks
 
     @property
     def factored(self) -> bool:
-        return self.index is not None
+        return self.weights.ndim == 2
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense A, or the n x n W when factored (a new array each read)."""
+        """The n x n W when factored, else the dense M x M A."""
+        table = _table_dense(self.topology.n, self.index, self.weights,
+                             _real_slots(self.index))
         if self.factored:
-            return _table_dense(self.topology.n, self.index, self.weights)
-        return self.dense
+            return table
+        n, _, l, _ = table.shape
+        return table.transpose(0, 2, 1, 3).reshape(n * l, n * l)
 
     @property
     def a(self) -> np.ndarray:
-        """The dense M x M matrix (a new array each read when factored)."""
+        """The dense M x M matrix."""
         if self.factored:
             return np.kron(self.matrix, np.eye(self.block_dims[0]))
-        return self.dense
+        return self.matrix
+
+    @classmethod
+    def from_dense(cls, a, topology: Topology, block_dims) -> "CombinationMatrix":
+        """The block table of a dense M x M matrix a with one block size;
+        ValueError names the first nonzero block the table cannot hold."""
+        n, l = topology.n, block_dims[0]
+        if any(d != l for d in block_dims) or np.shape(a) != (n * l, n * l):
+            raise ValueError("a dense combination matrix needs n blocks of one size")
+        blocks = np.asarray(a, dtype=float).reshape(n, l, n, l).transpose(0, 2, 1, 3)
+        outside = np.any(blocks != 0.0, axis=(2, 3)) & (
+            topology.edge_weights + np.eye(n) == 0.0)
+        if outside.any():
+            k, j = np.argwhere(outside)[0]
+            raise ValueError(f"nonzero block ({k}, {j}) outside the neighbourhoods")
+        index, _ = topology.neighbor_index()
+        real = _real_slots(index)[:, :, None, None]
+        return cls(topology, tuple(block_dims), index,
+                   np.where(real, blocks[np.arange(n)[:, None], index], 0.0))
 
 
-def _table_dense(n, index, weights) -> np.ndarray:
-    """The dense (rows, n) matrix holding weights[r, m] at column
-    index[r, m]; a zero weight (the padding) writes nothing, so the columns
-    written are distinct and the one fancy assignment is well defined."""
-    out = np.zeros((index.shape[0], n))
-    r, m = np.nonzero(weights)
+def _real_slots(index) -> np.ndarray:
+    """Mask of the slots of a neighbour table that name a neighbour: an
+    agent's first slot holding itself is its own, later ones are padding."""
+    own = index == np.arange(index.shape[0])[:, None]
+    return ~own | (np.cumsum(own, axis=1) == 1)
+
+
+def _table_dense(n, index, weights, slots) -> np.ndarray:
+    """The dense (rows, n) array of scalars, or (rows, n, l, l) of blocks,
+    holding weights[r, m] at column index[r, m] for the slots marked; a row
+    marks distinct columns, so the one fancy assignment is well defined."""
+    out = np.zeros((index.shape[0], n) + weights.shape[2:])
+    r, m = np.nonzero(slots)
     out[r, index[r, m]] = weights[r, m]
     return out
 
@@ -271,11 +297,15 @@ def save_topology(path, topology: Topology):
 def load_topology(path, n=None) -> Topology:
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            k, j = (int(t) for t in line.split())
+            try:
+                k, j = (int(t) for t in line.split())
+            except ValueError:
+                raise InvalidEdgeList(f"{path}, line {number}: expected two "
+                                      f"integer agent indices, got {line!r}") from None
             edges.append((k, j))
     if n is None:
         if not edges:
@@ -340,7 +370,8 @@ def spectral_radius(mat) -> float:
 def metropolis_weights(topology: Topology) -> np.ndarray:
     """Doubly stochastic scalar weights 1/max(|N_k|, |N_l|) off the diagonal,
     dense (n, n)."""
-    return _table_dense(topology.n, *_metropolis_table(topology))
+    index, weights = _metropolis_table(topology)
+    return _table_dense(topology.n, index, weights, _real_slots(index))
 
 
 def _metropolis_table(topology: Topology) -> tuple:
@@ -352,21 +383,17 @@ def _metropolis_table(topology: Topology) -> tuple:
     index, sizes = topology.neighbor_index()
     n = topology.n
     rows = np.arange(n)[:, None]
-    off = (np.arange(index.shape[1]) < sizes[:, None]) & (index != rows)
+    off = index != rows       # the padding holds the agent itself
     weights = np.where(off, 1.0 / np.maximum(sizes[:, None], sizes[index]), 0.0)
     diag = np.empty(n)
     block = max(1, _DENSE_BLOCK // n)
     for start in range(0, n, block):
         part = slice(start, start + block)
-        diag[part] = 1.0 - _table_dense(n, index[part], weights[part]).sum(axis=1)
+        diag[part] = 1.0 - _table_dense(n, index[part], weights[part],
+                                        off[part]).sum(axis=1)
     # an agent's first slot holding itself is its own; later ones are padding
     weights[rows[:, 0], np.argmax(index == rows, axis=1)] = diag
     return index, weights
-
-
-def _block_slices(block_dims):
-    offs = np.concatenate(([0], np.cumsum(block_dims)))
-    return [slice(int(offs[k]), int(offs[k + 1])) for k in range(len(block_dims))]
 
 
 def _is_consensus_basis(basis: SubspaceBasis) -> bool:
@@ -379,61 +406,45 @@ def _is_consensus_basis(basis: SubspaceBasis) -> bool:
 
 
 def _constrained_lsq(topology, basis):
-    # minimize ||A - P_U||_F^2 over the free block entries subject to
-    # A U = U and U^T A = U^T, via a lightly regularized sparse KKT system;
-    # scipy.sparse is imported on this path only, so that a process that
-    # never fits does not load it (about 1.6 MB resident)
+    # minimize ||A - P_U||_F^2 over the blocks of the neighbour table,
+    # row-major, subject to A U = U and U^T A = U^T, via a lightly
+    # regularized sparse KKT system; scipy.sparse is imported on this path
+    # only, so that a process that never fits does not load it (1.6 MB)
     import scipy.sparse as sp
 
     u = basis.u
     m, p = u.shape
-    slices = _block_slices(basis.block_dims)
-    free_rows, free_cols = [], []
-    for k in range(topology.n):
-        for j in sorted(topology.neighborhoods[k]):
-            rk, cj = slices[k], slices[j]
-            rr, cc = np.meshgrid(np.arange(rk.start, rk.stop),
-                                 np.arange(cj.start, cj.stop), indexing="ij")
-            free_rows.append(rr.ravel())
-            free_cols.append(cc.ravel())
-    free_rows = np.concatenate(free_rows)
-    free_cols = np.concatenate(free_cols)
+    l = basis.block_dims[0]
+    if any(d != l for d in basis.block_dims):
+        raise ValueError("subspace-lsq needs one block size for every agent")
+    index, _ = topology.neighbor_index()
+    k, slot = np.nonzero(_real_slots(index))
+    within_row, within_col = np.divmod(np.arange(l * l), l)
+    free_rows = (k[:, None] * l + within_row).ravel()
+    free_cols = (index[k, slot][:, None] * l + within_col).ravel()
     nv = free_rows.size
 
     target = (u @ u.T)[free_rows, free_cols]
 
-    # constraint rows: (row i, basis col q) then (col j, basis col q)
-    rows, cols, vals = [], [], []
-    d = np.empty(2 * m * p)
-    for e in range(nv):
-        i, j = free_rows[e], free_cols[e]
-        # A U = U touches constraint block of row i
-        rows.append(np.arange(i * p, (i + 1) * p))
-        cols.append(np.full(p, e))
-        vals.append(u[j])
-        # U^T A = U^T touches constraint block of column j
-        rows.append(m * p + np.arange(j * p, (j + 1) * p))
-        cols.append(np.full(p, e))
-        vals.append(u[i])
-    C = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * m * p, nv),
-    )
-    d[: m * p] = u.ravel()
-    d[m * p:] = u.ravel()
+    # entry e = (i, j) touches the constraint rows (i, q) of A U = U, then
+    # the rows (j, q) of U^T A = U^T, for every basis column q
+    cp = np.arange(p)
+    rows = np.stack([free_rows[:, None] * p + cp,
+                     m * p + free_cols[:, None] * p + cp], axis=1)
+    vals = np.stack([u[free_cols], u[free_rows]], axis=1)
+    entries = np.repeat(np.arange(nv), 2 * p)
+    C = sp.csr_matrix((vals.ravel(), (rows.ravel(), entries)), shape=(2 * m * p, nv))
+    d = np.concatenate([u.ravel(), u.ravel()])
 
     # KKT with a tiny dual regularization; redundant constraints stay consistent
-    eps = 1e-12
-    kkt = sp.bmat([[sp.eye(nv), C.T], [C, -eps * sp.eye(2 * m * p)]], format="csc")
-    rhs = np.concatenate([target, d])
-    sol = sp.linalg.spsolve(kkt, rhs)
-    a_free = sol[:nv]
+    kkt = sp.bmat([[sp.eye(nv), C.T], [C, -1e-12 * sp.eye(2 * m * p)]], format="csc")
+    a_free = sp.linalg.spsolve(kkt, np.concatenate([target, d]))[:nv]
 
     if np.max(np.abs(C @ a_free - d)) > TOL_CONSTRAINT:
         raise InfeasibleConstraints("sparsity pattern cannot hold the subspace fixed")
-    a = np.zeros((m, m))
-    a[free_rows, free_cols] = a_free
-    return a
+    weights = np.zeros(index.shape + (l, l))
+    weights[k, slot] = a_free.reshape(-1, l, l)
+    return index, weights
 
 
 def validate_combination(a, topology, basis) -> dict:
@@ -459,7 +470,7 @@ def reduced_problem(comb: CombinationMatrix, basis: SubspaceBasis) -> tuple:
     A factored consensus matrix W kron I_l is checked as W against the scalar
     consensus basis: the residuals are the same numbers and the spectrum of
     W kron I_l - P_U is that of W - 11^T/n, each eigenvalue repeated l times.
-    A dense matrix is checked as it is, against its own basis.
+    A matrix of l x l blocks is checked as the dense A, against its basis.
     """
     if comb.factored:
         return comb.matrix, subspace_consensus(comb.topology.n, 1)
@@ -472,17 +483,17 @@ def build_combination(topology, basis, mode="subspace-lsq") -> CombinationMatrix
 
     mode "consensus-metropolis" requires the consensus basis and keeps the
     doubly stochastic scalar weights W, factored (A = W kron I_l); mode
-    "subspace-lsq" fits the closest dense matrix to the projector P_U over
+    "subspace-lsq" fits the l x l blocks closest to the projector P_U over
     the sparsity pattern subject to A U = U and U^T A = U^T, for any basis.
     """
     if mode == "consensus-metropolis":
         if not _is_consensus_basis(basis):
             raise ValueError("consensus-metropolis needs the consensus basis")
-        comb = CombinationMatrix(None, topology, tuple(basis.block_dims),
+        comb = CombinationMatrix(topology, tuple(basis.block_dims),
                                  *_metropolis_table(topology))
     elif mode == "subspace-lsq":
-        comb = CombinationMatrix(_constrained_lsq(topology, basis), topology,
-                                 tuple(basis.block_dims))
+        comb = CombinationMatrix(topology, tuple(basis.block_dims),
+                                 *_constrained_lsq(topology, basis))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     matrix, checked = reduced_problem(comb, basis)

@@ -300,10 +300,10 @@ class _Plan:
 def _plan(models, specs, mu, gamma, index, mix, count=1):
     """The plan of count stacked networks over models. specs holds each
     row's quantizer spec; mu and gamma are one value per network, or one for
-    all. index and mix describe one network, as _neighbor_blocks gives them,
-    and are tiled over the stack: an (n, d) index of neighbor agents with
-    (n, d) scalar weights or (n, d, l, l) blocks. With index None, mix is a
-    dense (n, n) scalar matrix applied as mix @ phi, for one network."""
+    all. index and mix describe one network, as a CombinationMatrix holds
+    them, and are tiled over the stack: an (n, d) index of neighbor agents
+    with (n, d) scalar weights or (n, d, l, l) blocks. With index None, mix
+    is a dense (n, n) scalar matrix applied as mix @ phi, for one network."""
     n = len(models)
 
     def column(values):
@@ -329,12 +329,11 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
     quantize_batch call per scheme but randc), and the mixing. With a
     neighbor index, A = W kron I_l mixes each row's scalar neighbor weights
     with l multiply-adds per neighbor, else its l x l neighbor blocks with
-    l^2; a dense view is the full (n, n) index. Without one, mix is the
-    scalar matrix of the diffusion recursion, applied as mix @ phi. Audit
-    replicas (state.copies) are laid out as the index; debug=True checks
-    them. streams is the StreamField of the enclosing Monte-Carlo
-    repetition. Returns (per-row message bits, per-row ||chi||^2); bits are
-    NaN where a level index left the exact range.
+    l^2. Without one, mix is the scalar matrix of the diffusion recursion,
+    applied as mix @ phi. Audit replicas (state.copies) are laid out as the
+    index; debug=True checks them. streams is the StreamField of the
+    enclosing Monte-Carlo repetition. Returns (per-row message bits, per-row
+    ||chi||^2); bits are NaN where a level index left the exact range.
     """
     psi = _draw_psi(state.w, plan.arrays, plan.mu, streams, iteration)
     chi = psi - state.phi
@@ -363,24 +362,6 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
         trace["phi"] = state.phi.copy()
         trace["w"] = state.w.copy()
     return bits, np.einsum("kl,kl->k", chi, chi)
-
-
-def _neighbor_blocks(comb: CombinationMatrix, n, l):
-    """Each agent's neighbors in ascending order as an (n, d_max) index,
-    padded at the end with the agent itself, and what A holds for them, zero
-    at the padding. A factored A = W kron I_l is already stored as this
-    table, the scalar weights W[k, j] as (n, d_max), and A is never read; a
-    dense A gives its blocks as (n, d_max, l, l). Mixing the weights adds
-    the same products in the same neighbor order as mixing the blocks
-    W[k, j] I_l, whose other terms are 0 * phi = +-0, so both give the same
-    bits."""
-    if comb.factored:
-        return comb.index, comb.weights
-    index, sizes = comb.topology.neighbor_index()
-    real = np.arange(index.shape[1]) < sizes[:, None]
-    blocks = comb.dense.reshape(n, l, n, l).transpose(0, 2, 1, 3)[
-        np.arange(n)[:, None], index]
-    return index, np.where(real[:, :, None, None], blocks, 0.0)
 
 
 def _check_batch(configs, models):
@@ -548,8 +529,8 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     covs = [m.sigma_u_sq for m in models]
     w_star = np.concatenate([m.w_star for m in models])
     w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
-    index, mix = _neighbor_blocks(comb, n, l)
-    results = _monte_carlo(configs, models, w_opt, index, mix, debug)
+    results = _monte_carlo(configs, models, w_opt, comb.index, comb.weights,
+                           debug)
     return results[0] if isinstance(config, RunConfig) else results
 
 

@@ -118,8 +118,15 @@ class QuantizerSpec:
                 raise SpecError("sparsifier needs one probability per coordinate")
             if not all(0 < qj <= 1 for qj in self.qs):
                 raise SpecError("sparsifier needs 0 < q_j <= 1")
-        if k == "qsgd" and not (self.s is not None and self.s >= 1):
-            raise SpecError("qsgd needs integer s >= 1")
+        if k == "qsgd" and not (self.s is not None and 1 <= self.s < MAX_INDEX):
+            raise SpecError("qsgd needs integer 1 <= s < 2**53")
+        # b_hp + ceil(log2 L), a selected coordinate's word, is at most L b_hp
+        words = [self.dim * self.b_hp]
+        if k == "qsgd":
+            words.append(self.b_hp + self.dim * (1 + _ceil_log2(self.s)))
+        if max(words) >= MAX_INDEX:
+            raise SpecError(f"b_hp = {self.b_hp} charges words of 2**53 bits or "
+                            "more, beyond exact float arithmetic")
 
 
 def _check_finite_budget(spec):

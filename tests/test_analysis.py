@@ -31,7 +31,8 @@ def test_projector_report_is_trivial():
     n, l = 6, 2
     basis = graphs.subspace_consensus(n, l)
     top = graphs.build_topology(n, 1.0, seed=1)
-    comb = CombinationMatrix(graphs.projector(basis), top, (l,) * n)
+    comb = CombinationMatrix.from_dense(graphs.projector(basis), top,
+                                        (l,) * n)
     rep = analysis.spectral_report(comb, basis)
     assert rep.rho_j == pytest.approx(0.0, abs=1e-12)
     assert rep.rho_i_minus_j == pytest.approx(1.0, abs=1e-12)
@@ -84,7 +85,7 @@ def test_defective_minor_block_raises():
     b = np.array([[0.5, 1.0], [0.0, 0.5]])
     a = graphs.projector(basis) + q @ b @ q.T
     top = graphs.build_topology(n, 1.0, seed=2)
-    comb = CombinationMatrix(a, top, (l,) * n)
+    comb = CombinationMatrix.from_dense(a, top, (l,) * n)
     assert graphs.spectral_radius(a - graphs.projector(basis)) < 1
     with pytest.raises(analysis.DefectiveMatrix, match="condition number"):
         analysis.spectral_report(comb, basis)
@@ -139,7 +140,8 @@ def test_nonsymmetric_report_is_the_eigenbasis_route_bitwise():
     q = np.linalg.svd(basis.u, full_matrices=True)[0][:, 1:]
     mix = np.array([[0.5, 0.3, 0.1], [0.0, -0.2, 0.4], [0.0, 0.0, 0.1]])
     a = graphs.projector(basis) + q @ mix @ q.T
-    comb = CombinationMatrix(a, graphs.build_topology(n, 1.0, seed=0), (l,) * n)
+    comb = CombinationMatrix.from_dense(a, graphs.build_topology(n, 1.0, seed=0),
+                                        (l,) * n)
     rep = analysis.spectral_report(comb, basis)
     assert rep == eigenbasis_report(comb, basis)
     assert rep.v1 != 1.0
@@ -239,7 +241,8 @@ def test_gamma_bound_on_projector_network_admits_large_mixing():
     n, l = 10, 2
     basis = graphs.subspace_consensus(n, l)
     top = graphs.build_topology(n, 1.0, seed=3)
-    comb = CombinationMatrix(graphs.projector(basis), top, (l,) * n)
+    comb = CombinationMatrix.from_dense(graphs.projector(basis), top,
+                                        (l,) * n)
     rep = analysis.spectral_report(comb, basis)
     beta_sq = quantizers.noise_budget(quantizers.anq(0.25, 0.01, l)).beta_sq
     assert analysis.gamma_bound(rep, beta_sq) == 1.0
@@ -387,9 +390,9 @@ def test_factored_consensus_matches_dense_general_path(n, l, conn, seed):
     assert np.array_equal(comb.a, kron)
     assert comb.a is not comb.a          # built on each read, never cached
 
-    dense = CombinationMatrix(kron, top, comb.block_dims)
+    dense = CombinationMatrix.from_dense(kron, top, comb.block_dims)
     same, same_basis = graphs.reduced_problem(dense, basis)
-    assert same is kron and same_basis is basis
+    assert same.tobytes() == kron.tobytes() and same_basis is basis
     w, scalar = graphs.reduced_problem(comb, basis)
     # W is built from the stored neighbour table on each read, same bits
     assert np.array_equal(w, comb.matrix) and comb.matrix is not comb.matrix

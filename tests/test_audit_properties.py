@@ -37,7 +37,8 @@ SPECS = [
 @st.composite
 def networks(draw):
     """(models, basis, comb) on a connected graph of at most 8 agents: a
-    factored consensus matrix, its dense copy, or a dense subspace fit."""
+    factored consensus matrix, its blocks gathered from its dense view, or a
+    subspace fit."""
     n = draw(st.integers(2, 8))
     l = draw(st.integers(1, 3))
     # a random spanning tree keeps the graph connected; chords add cycles
@@ -57,7 +58,8 @@ def networks(draw):
         basis = graphs.subspace_consensus(n, l)
         comb = graphs.build_combination(top, basis, mode="consensus-metropolis")
         if kind == "dense-copy":
-            comb = graphs.CombinationMatrix(comb.a, top, comb.block_dims)
+            comb = graphs.CombinationMatrix.from_dense(comb.a, top,
+                                                       comb.block_dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     models = [DataModel(rng.uniform(1.5, 2.5), rng.uniform(0.1, 0.2),
                         rng.normal(0.4, 1.0, l)) for _ in range(n)]
@@ -99,14 +101,29 @@ def test_audit_mode_changes_no_bit(batch):
 
 
 @SETTINGS
+@given(audited_batches())
+def test_a_gathered_dense_view_is_the_same_matrix(batch):
+    # the table read back from the dense view: the same bits, the same run
+    configs, models, basis, comb = batch
+    copy = graphs.CombinationMatrix.from_dense(comb.a, comb.topology,
+                                               comb.block_dims)
+    assert copy.a.tobytes() == comb.a.tobytes()
+    for got, want in zip(learning.run(configs, models, basis, copy),
+                         learning.run(configs, models, basis, comb), strict=True):
+        for field in ("msd", "bits", "chi_sq"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.diverged_at, got.runs_used) == (want.diverged_at, want.runs_used)
+
+
+@SETTINGS
 @given(st.data())
 def test_a_drifted_replica_raises_state_desync(data):
     models, basis, comb = data.draw(networks())
     n, l = len(models), models[0].dim
     specs = RunConfig(mu=0.05, gamma=0.8, iterations=1,
                       quantizer=quantizer_for(data.draw, n, l)).specs_for(n)
-    index, mix = learning._neighbor_blocks(comb, n, l)
-    plan = learning._plan(models, specs, 0.05, 0.8, index, mix)
+    index = comb.index
+    plan = learning._plan(models, specs, 0.05, 0.8, index, comb.weights)
     state = NetworkState(n, l, width=index.shape[1])
     streams = StreamField(data.draw(st.integers(0, 99)), 0)
     rounds = data.draw(st.integers(1, 5))

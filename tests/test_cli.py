@@ -1,6 +1,7 @@
 """Tests for the configuration front end and its subcommands."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,14 @@ def test_run_rejects_non_finite_quantizer_parameters(tmp_path, capsys, quantizer
     assert "config error: algorithm.quantizer" in err and "divergence" not in err
 
 
+def test_run_rejects_a_word_cost_beyond_exact_floats(tmp_path, capsys):
+    # before: OverflowError from the kernel's float(L * b_hp)
+    path = base_config(tmp_path, **{"quantizer = anq": f"b_hp = {10**310}\n"
+                                                      "quantizer = anq"})
+    assert cli.main(["run", "--config", path]) == 1
+    assert "config error: algorithm.quantizer: b_hp" in capsys.readouterr().err
+
+
 def test_bad_config_exit_code(tmp_path, capsys):
     path = base_config(tmp_path, **{"gamma = 0.9": "gamma = 2.0"})
     assert cli.main(["run", "--config", path]) == 1
@@ -348,7 +357,7 @@ def test_verify_flags_an_off_neighborhood_weight(tmp_path, capsys,
         real = np.arange(width) < np.array([len(c) for c in cols])[:, None]
         weights = np.where(real, np.take_along_axis(w, index, axis=1), 0.0)
         return top, basis, graphs.CombinationMatrix(
-            None, top, comb.block_dims, index, weights), models
+            top, comb.block_dims, index, weights), models
 
     monkeypatch.setattr(cli, "build_setup", tampered_setup)
     extra_edit = {"connectivity = 1.0":
@@ -378,6 +387,24 @@ def test_verify_disconnected_topology_file(tmp_path, capsys):
     path = write_config(tmp_path, text)
     assert cli.main(["verify", "--config", path]) == 2
     assert "NotConnected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["2 3 4", "2 x"])
+def test_malformed_edge_line_is_an_invalid_edge_list(tmp_path, capsys, line):
+    # before: an unpacking or int() ValueError traceback
+    edges = tmp_path / "edges.txt"
+    edges.write_text(f"# ring\n1 2\n{line}\n3 4\n4 1\n")
+    text = BASE.format(iters=100, out=tmp_path / "out")
+    text = text.replace("n = 5", "n = 4")
+    text = text.replace("connectivity = 1.0", f"topology_file = {edges}")
+    path = write_config(tmp_path, text)
+    with pytest.raises(graphs.InvalidEdgeList,
+                       match=re.escape(f"{edges}, line 3")):
+        graphs.load_topology(edges)
+    assert cli.main(["verify", "--config", path]) == 2
+    assert "FAIL construction: InvalidEdgeList" in capsys.readouterr().out
+    assert cli.main(["run", "--config", path]) == 2
+    assert "validation failure: InvalidEdgeList" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +448,19 @@ def test_rate_distortion_rejects_unsweepable_scheme(tmp_path, capsys):
     path = base_config(tmp_path, extra=extra)
     assert cli.main(["rate-distortion", "--config", path]) == 1
     assert "sweep.schemes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["gossip", "anq:omega=-1"])
+def test_rate_distortion_rejects_the_grid_before_set_up(tmp_path, capsys,
+                                                        monkeypatch, scheme):
+    def no_setup(exp):
+        raise AssertionError("built the network for a grid that cannot run")
+
+    monkeypatch.setattr(cli, "build_setup", no_setup)
+    extra = f"\n[sweep]\nschemes = uniform, {scheme}\nvalues = 0.1\n"
+    path = base_config(tmp_path, extra=extra)
+    assert cli.main(["rate-distortion", "--config", path]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_rate_distortion_below_the_steady_window_is_a_config_error(
@@ -475,6 +515,17 @@ def test_quantizer_test_bad_spec(capsys):
 def test_quantizer_test_rejects_a_spec_without_finite_budget(capsys, spec):
     # before: NaN contract violations (exit 2), or an OverflowError
     assert cli.main(["quantizer-test", spec, "--trials", "100"]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "contract violations" not in captured.err
+
+
+@pytest.mark.parametrize("spec, b_hp", [("identity", str(10**310)),
+                                        ("qsgd:s=" + str(10**300), "32")])
+def test_quantizer_test_rejects_words_beyond_exact_floats(capsys, spec, b_hp):
+    # before: an OverflowError, or 8 contract violations from wrapped levels
+    assert cli.main(["quantizer-test", spec, "--b-hp", b_hp,
+                     "--trials", "100"]) == 1
     captured = capsys.readouterr()
     assert "config error" in captured.err
     assert "contract violations" not in captured.err

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from subspaceq import graphs
 from subspaceq.graphs import (
     CONNECT_RETRY_BUDGET,
+    CombinationMatrix,
     InfeasibleConstraints,
     InvalidEdgeList,
     NotConnected,
@@ -279,7 +280,7 @@ def test_set_up_holds_tables_and_builds_dense_views_bitwise(n, connectivity, l):
     assert np.array_equal(comb.matrix, a) and np.array_equal(comb.a, kron)
     # what is kept is the table: sorted neighbourhoods padded with the agent
     index, sizes = top.neighbor_index()
-    assert np.array_equal(comb.index, index) and comb.dense is None
+    assert np.array_equal(comb.index, index) and comb.weights.shape == index.shape
     for k, nb in enumerate(top.neighborhoods):
         assert index[k, :sizes[k]].tolist() == sorted(nb)
         assert np.all(index[k, sizes[k]:] == k)
@@ -497,6 +498,30 @@ def test_validate_combination_errors():
     broken[0, 0] += 0.5
     with pytest.raises(InfeasibleConstraints):
         validate_combination(broken, top, basis)
+
+
+def test_from_dense_rejects_a_weight_outside_the_neighbourhoods():
+    # a ring's W with 0.2 moved onto the non-link (0, 3) stays doubly
+    # stochastic and contracting, so it validates; but the table has no slot
+    # for the weight, and row 0 would mix with weights summing to 0.8
+    ring = build_topology(6, [(k, k % 6 + 1) for k in range(1, 7)])
+    basis = subspace_consensus(6, 1)
+    w = metropolis_weights(ring)
+    w[0, 3] = w[3, 0] = 0.2
+    w[0, 0] -= 0.2
+    w[3, 3] -= 0.2
+    assert validate_combination(w, ring, basis)["rho"] < 1.0
+    with pytest.raises(ValueError, match=r"nonzero block \(0, 3\) outside"):
+        CombinationMatrix.from_dense(w, ring, (1,) * 6)
+    with pytest.raises(ValueError, match="one size"):
+        CombinationMatrix.from_dense(np.eye(7), ring, (1,) * 5 + (2,))
+
+
+def test_lsq_combination_needs_one_block_size():
+    top = build_topology(3, 1.0, seed=0)
+    basis = SubspaceBasis(np.full((4, 1), 0.5), (1, 2, 1), 1)
+    with pytest.raises(ValueError, match="one block size"):
+        build_combination(top, basis, mode="subspace-lsq")
 
 
 # ---------------------------------------------------------------------------

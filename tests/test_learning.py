@@ -326,19 +326,20 @@ def test_neighbor_combine_equals_dense_einsum_bitwise(mode):
         top = graphs.build_topology(n, 0.5, seed=2)   # degrees 3 to 6
         basis = graphs.subspace_smooth(top, 2, l, weight=0.1)
     comb = graphs.build_combination(top, basis, mode=mode)
-    index, mix = learning._neighbor_blocks(comb, n, l)
-    # a factored A mixes scalar weights W[k, j], a dense one l x l blocks
+    index, mix = comb.index, comb.weights
+    # a factored A mixes scalar weights W[k, j], the fit l x l blocks
     assert mix.shape == ((n, index.shape[1]) if comb.factored
                          else (n, index.shape[1], l, l))
     degrees = [top.degree(k) for k in range(n)]
     assert min(degrees) < index.shape[1] == max(degrees)
+    blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
     for k in range(n):
-        assert list(index[k, :degrees[k]]) == sorted(top.neighborhoods[k])
+        real = index[k, :degrees[k]]
+        assert list(real) == sorted(top.neighborhoods[k])
         assert np.all(index[k, degrees[k]:] == k)
         assert np.all(mix[k, degrees[k]:] == 0.0)
-        if comb.factored:
-            assert np.array_equal(mix[k, :degrees[k]],
-                                  comb.matrix[k, index[k, :degrees[k]]])
+        held = comb.matrix[k, real] if comb.factored else blocks[k, real]
+        assert np.array_equal(mix[k, :degrees[k]], held)
     rng = np.random.default_rng(0)
     for _ in range(100):
         # 16 decades of magnitude
@@ -646,7 +647,8 @@ def test_factored_run_equals_dense_run_bitwise(monkeypatch):
     # the scalar-weight combine of A = W kron I_l against the l x l block
     # combine of the same matrix held dense
     top, basis, comb = _batch_network()
-    dense = graphs.CombinationMatrix(comb.a, comb.topology, comb.block_dims)
+    dense = graphs.CombinationMatrix.from_dense(comb.a, comb.topology,
+                                                comb.block_dims)
     assert comb.factored and not dense.factored
     models = make_models(6, 3)
     grid = _batch_grid()

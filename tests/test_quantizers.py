@@ -87,6 +87,28 @@ def test_spec_accepts_large_parameters_with_finite_budgets():
         assert math.isfinite(budget.beta_sq) and math.isfinite(budget.sigma_sq)
 
 
+def test_spec_bounds_every_word_cost_below_max_index():
+    # the largest b_hp whose L * b_hp word is below 2**53, and one more
+    top = (qz.MAX_INDEX - 1) // 5
+    for make in (qz.identity, lambda L, b_hp: qz.uniform(0.1, L, b_hp),
+                 lambda L, b_hp: qz.gossip(0.5, L, b_hp)):
+        assert make(5, b_hp=top).b_hp == top
+        with pytest.raises(qz.SpecError, match=r"2\*\*53"):
+            make(5, b_hp=top + 1)
+    # before: OverflowError from float(L * b_hp) in the kernel
+    with pytest.raises(qz.SpecError):
+        qz.parse_spec("uniform:delta=0.1", 5, b_hp=10**310)
+    # at L = 1 the qsgd message, b_hp + 1 + ceil(log2 s), is the longest word
+    qz.qsgd(2, 1, b_hp=qz.MAX_INDEX - 3)
+    with pytest.raises(qz.SpecError):
+        qz.qsgd(2, 1, b_hp=qz.MAX_INDEX - 2)
+    # before: np.floor(t).astype(np.int64) wrapped and broke unbiasedness
+    assert qz.qsgd(qz.MAX_INDEX - 1, 5).s == qz.MAX_INDEX - 1
+    for s in (qz.MAX_INDEX, 10**300):
+        with pytest.raises(qz.SpecError, match="qsgd"):
+            qz.parse_spec(f"qsgd:s={s}", 5)
+
+
 # ---------------------------------------------------------------------------
 # selection-string grammar
 
