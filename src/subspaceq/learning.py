@@ -265,14 +265,21 @@ def _quantize_all(work, chi, streams, iteration, n):
     the stack. Each agent's uniforms are drawn once for all its rows, all in
     one StreamField.uniforms call; each scheme but randc is one
     quantize_batch call, and randc rows quantize one by one. A row whose
-    level index would leave the exact range gets NaN."""
+    level index would leave the exact range gets NaN; a randc row that is
+    not finite is carried unquantized at its message cost, so that the
+    round diverges as a non-finite row of any other scheme does."""
     schemes, readers = work
     bits = np.empty(chi.shape[0])
     delta = np.empty(chi.shape)
     us = streams.uniforms(iteration, readers, np.empty((n, chi.shape[1])))
     for kind, rows, agents, specs in schemes:
         if kind == "randc":
-            for r, k, spec in zip(rows.tolist(), agents.tolist(), specs):
+            finite = np.isfinite(chi[rows]).all(axis=1).tolist()
+            for r, k, spec, ok in zip(rows.tolist(), agents.tolist(), specs,
+                                      finite):
+                if not ok:      # carried as it is, for the |w| test to flag
+                    bits[r], delta[r] = quantizers._randc_cost(spec), chi[r]
+                    continue
                 msg = quantizers.quantize(spec, chi[r],
                                           streams.stream(iteration, k, QUANTIZE))
                 bits[r] = msg.bit_cost
@@ -293,8 +300,8 @@ class _Plan:
     mu: np.ndarray                # (rows, 1)
     gamma: np.ndarray             # (rows, 1)
     work: tuple                   # _schemes of the rows
-    index: np.ndarray | None      # (rows, d) neighbor rows, None for dense mixing
-    mix: np.ndarray               # weights of index, or a dense scalar matrix
+    index: np.ndarray             # (rows, d) neighbor rows
+    mix: np.ndarray               # weights of index: (rows, d) or (rows, d, l, l)
 
 
 def _plan(models, specs, mu, gamma, index, mix, count=1):
@@ -302,18 +309,15 @@ def _plan(models, specs, mu, gamma, index, mix, count=1):
     row's quantizer spec; mu and gamma are one value per network, or one for
     all. index and mix describe one network, as a CombinationMatrix holds
     them, and are tiled over the stack: an (n, d) index of neighbor agents
-    with (n, d) scalar weights or (n, d, l, l) blocks. With index None, mix
-    is a dense (n, n) scalar matrix applied as mix @ phi, for one network."""
+    with (n, d) scalar weights or (n, d, l, l) blocks."""
     n = len(models)
 
     def column(values):
         return np.repeat(np.broadcast_to(values, (count,)), n)[:, None]
 
-    if index is not None:
-        index = (index + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
-        mix = np.concatenate([mix] * count)
+    index = (index + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
     return _Plan(n, _model_arrays(models), column(mu), column(gamma),
-                 _schemes(list(specs), n), index, mix)
+                 _schemes(list(specs), n), index, np.concatenate([mix] * count))
 
 
 def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
@@ -326,34 +330,30 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
     (c) mix: w_k = (1 - gamma) phi_k + gamma * sum_j A_kj phi_j. Everything
     fixed over the rounds comes from plan (_plan): the models, mu and gamma
     columns, the rows grouped by quantizer scheme (_schemes, one
-    quantize_batch call per scheme but randc), and the mixing. With a
-    neighbor index, A = W kron I_l mixes each row's scalar neighbor weights
-    with l multiply-adds per neighbor, else its l x l neighbor blocks with
-    l^2. Without one, mix is the scalar matrix of the diffusion recursion,
-    applied as mix @ phi. Audit replicas (state.copies) are laid out as the
-    index; debug=True checks them. streams is the StreamField of the
-    enclosing Monte-Carlo repetition. Returns (per-row message bits, per-row
-    ||chi||^2); bits are NaN where a level index left the exact range.
+    quantize_batch call per scheme but randc), and the neighbor table that
+    mixes. A = W kron I_l mixes each row's scalar neighbor weights with l
+    multiply-adds per neighbor, else its l x l neighbor blocks with l^2.
+    Audit replicas (state.copies) are laid out as the index; debug=True
+    checks them. streams is the StreamField of the enclosing Monte-Carlo
+    repetition. Returns (per-row message bits, per-row ||chi||^2); bits are
+    NaN where a level index left the exact range.
     """
     psi = _draw_psi(state.w, plan.arrays, plan.mu, streams, iteration)
     chi = psi - state.phi
     bits, delta = _quantize_all(plan.work, chi, streams, iteration, plan.n)
 
     state.phi += delta
-    if plan.index is None:
-        mixed = plan.mix @ state.phi
+    if state.copies is None:
+        heard = np.take(state.phi, plan.index, axis=0)
     else:
-        if state.copies is None:
-            heard = np.take(state.phi, plan.index, axis=0)
-        else:
-            state.copies += np.take(delta, plan.index, axis=0)
-            if debug:
-                state.check_consistency(plan.index)
-            heard = state.copies
-        if plan.mix.ndim == 2:
-            mixed = np.einsum("km,kmt->kt", plan.mix, heard)
-        else:
-            mixed = np.einsum("kmst,kmt->ks", plan.mix, heard)
+        state.copies += np.take(delta, plan.index, axis=0)
+        if debug:
+            state.check_consistency(plan.index)
+        heard = state.copies
+    if plan.mix.ndim == 2:
+        mixed = np.einsum("km,kmt->kt", plan.mix, heard)
+    else:
+        mixed = np.einsum("kmst,kmt->ks", plan.mix, heard)
     state.w = (1.0 - plan.gamma) * state.phi + plan.gamma * mixed
 
     if trace is not None:
@@ -385,15 +385,17 @@ def _check_batch(configs, models):
     return n, l
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _monte_carlo(configs, models, w_opt, index, mix, debug=False) -> list:
     """The Monte-Carlo loop that run and run_diffusion share; one RunResult
     per config, of configs that passed _check_batch.
 
     The entry points differ only in the deviation reference w_opt (n, l)
-    and in how one network mixes, index and mix as _plan takes them. Every
-    round is one step call on the stacked NetworkState: configs stack in
-    list order, each round drawing every stream cell once for all of them,
-    and every repetition starts from w = phi = 0 with its own StreamField.
+    and in the neighbor table of one network, index and mix as _plan takes
+    them. Every round is one step call on the stacked NetworkState: configs
+    stack in list order, each round drawing every stream cell once for all
+    of them, and every repetition starts from w = phi = 0 with its own
+    StreamField.
     With debug, each row keeps replicas of its neighbors' states in the
     table of index, checked every 100 rounds.
 
@@ -405,7 +407,9 @@ def _monte_carlo(configs, models, w_opt, index, mix, debug=False) -> list:
     stops there: its result averages what its repetitions recorded, with msd
     inf and bits and chi_sq NaN past the last completed round. At the end,
     the lowest-index diverged config whose on_divergence is "raise" raises
-    NonFinite(diverged_at), as separate calls in order would have.
+    NonFinite(diverged_at), as separate calls in order would have. The
+    rounds run with floating-point overflow and invalid-operation warnings
+    off: the divergence policy reports every row that produces them.
     """
     n, l = w_opt.shape
     specs = [c.specs_for(n) for c in configs]
@@ -538,12 +542,13 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
     """Standalone scalar-weight diffusion recursion with quantized exchange.
 
     The consensus special case with no basis machinery: the same step as
-    run, mixing w_k = (1 - gamma) phi_k + gamma sum_j a_kj phi_j as the
-    dense product a_scalar @ phi. Randomness follows the same stream
-    discipline as run, so the two recursions see identical draws and their
-    trajectories can be compared round for round. The deviation reference
-    is the variance-weighted network average of the local targets,
-    replicated at every agent.
+    run, mixing w_k = (1 - gamma) phi_k + gamma sum_j a_kj phi_j over a
+    neighbor table of a_scalar's nonzero entries, each row's columns in
+    ascending order as run's table holds them (zero-weight padding after).
+    Randomness follows the same stream discipline as run, so the two
+    recursions see identical draws and their trajectories can be compared
+    round for round. The deviation reference is the variance-weighted
+    network average of the local targets, replicated at every agent.
     """
     a_scalar = np.asarray(a_scalar, dtype=float)
     n, l = _check_batch([config], models)
@@ -552,8 +557,10 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
     weights = np.array([m.sigma_u_sq for m in models])
     wbar = np.average(np.stack([m.w_star for m in models]), axis=0,
                       weights=weights)
-    return _monte_carlo([config], models, np.tile(wbar, (n, 1)), None,
-                        a_scalar)[0]
+    width = max(1, int(np.count_nonzero(a_scalar, axis=1).max()))
+    index = np.argsort(a_scalar == 0, axis=1, kind="stable")[:, :width]
+    return _monte_carlo([config], models, np.tile(wbar, (n, 1)), index,
+                        np.take_along_axis(a_scalar, index, axis=1))[0]
 
 
 def save_metrics_csv(path, result: RunResult, version, seed, per_agent=False):

@@ -54,6 +54,7 @@ KINDS = ("identity", "uniform", "anq", "randc", "gossip", "sparsifier", "qsgd")
 # level indices stay below this magnitude, where float64 holds every integer
 # and index_bit_lengths is exact
 MAX_INDEX = 2**53
+_TINY = np.finfo(float).tiny
 
 
 class SpecError(ValueError):
@@ -444,7 +445,7 @@ def _kernel(specs):
                    (1,))
 
     def leveled(xs, us):
-        norm = np.sqrt(np.vecdot(xs, xs))
+        norm = _norms(xs)
         zero = norm == 0.0
         # unbiased rounding of s |x| / norm onto the levels 0..s
         t = s * np.abs(xs) / np.where(zero, 1.0, norm)[..., None]
@@ -454,6 +455,22 @@ def _kernel(specs):
         recon = norm[..., None] * signs * levels / s
         return np.where(zero, norm_word, full), recon, (norm, signs, levels)
     return leveled
+
+
+def _norms(xs):
+    """Euclidean norms along the last axis: np.sqrt(np.vecdot(x, x)) where
+    the square sum is a normal float, else the norm of x / max|x| scaled
+    back, so that no finite vector overflows to inf or underflows to 0."""
+    rows = xs.reshape(-1, xs.shape[-1])
+    with np.errstate(over="ignore"):
+        sq = np.vecdot(rows, rows)
+    norm = np.sqrt(sq)
+    odd = ~((sq >= _TINY) & (sq < np.inf))
+    if odd.any():
+        big = np.abs(rows[odd]).max(axis=1)
+        scaled = rows[odd] / np.where(big > 0.0, big, 1.0)[:, None]
+        norm[odd] = big * np.sqrt(np.vecdot(scaled, scaled))
+    return norm.reshape(xs.shape[:-1])
 
 
 class _SpecRows(tuple):
@@ -474,6 +491,11 @@ def index_bit_lengths(indices) -> np.ndarray:
 
 def _ceil_log2(n: int) -> int:
     return (int(n) - 1).bit_length()
+
+
+def _randc_cost(spec):
+    """The bits of every randc message: c words with their positions."""
+    return float(spec.c * (spec.b_hp + _ceil_log2(spec.dim)))
 
 
 def _variable_rate_cost(indices):
@@ -516,10 +538,10 @@ def quantize(spec: QuantizerSpec, x, rng) -> QuantizedMessage:
         coords = rng.permutation(L)[: spec.c]
         values = np.zeros(L)
         values[coords] = (L / spec.c) * x[coords]
-        cost = float(spec.c * (spec.b_hp + _ceil_log2(L)))
-        return QuantizedMessage(k, L, cost, values=values, coords=np.sort(coords))
+        return QuantizedMessage(k, L, _randc_cost(spec), values=values,
+                                coords=np.sort(coords))
 
-    if k == "qsgd" and np.vecdot(x, x) == 0.0:     # draws nothing
+    if k == "qsgd" and not x.any():     # draws nothing
         return QuantizedMessage(
             k, L, float(spec.b_hp), norm=0.0,
             signs=np.zeros(L, dtype=np.int8), levels=np.zeros(L, dtype=np.int64),
@@ -627,7 +649,7 @@ def sample_errors(spec: QuantizerSpec, x, rng, draws: int) -> np.ndarray:
         recon = np.zeros((draws, L))
         np.put_along_axis(recon, coords, (L / spec.c) * x[coords], axis=1)
         return x - recon
-    if k == "identity" or (k == "qsgd" and np.vecdot(x, x) == 0.0):
+    if k == "identity" or (k == "qsgd" and not x.any()):
         return np.zeros((draws, L))
     us = rng.random((draws, 1 if k == "gossip" else L))
     return x - _kernel([spec])(x, us)[1]

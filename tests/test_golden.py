@@ -15,6 +15,11 @@ and says why in CHANGES.md. It prints all three tables.
 """
 
 import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,14 +174,14 @@ GOLDEN = {
         'chi_sq': '330732022f135600858212b6711574369e0f1e7f6414e750ee4b6fef9440af82',
     },
     'diffusion-cycled': {
-        'msd': 'e2d33eb5465227edd85ffa16484bd2abe9facd73ff6bb14c91a66d13338f74d6',
+        'msd': '42060548afe1c31010d4e58061ff3dedb867ebc99ac442a4e85b24784a97521f',
         'bits': '4f276cdd48efc250e106494a6591f2d4254ffe98c46ebe489a83d81982356c35',
-        'chi_sq': 'e7db89c968199087da13e7bf1f4af1f0b24d31275bd245999416b6b38cf4a1a7',
+        'chi_sq': '5db86ded4c80c9769c244770a12d0b82bcddc5399c2d534184c9412a2e8620c3',
     },
     'diffusion-uniform': {
-        'msd': '703736f96112238fac0313b2cb00dd983116c23309706b2951561802d0f8525d',
+        'msd': '64be17788e85fde515f0c9cb8065045449129135d3b0e8186c2d0abf976f9054',
         'bits': 'b056a60d70492d1e75c11d176695de4414e85750098b6ccb4eab9b3320e8d6ad',
-        'chi_sq': '68935f77950bf51da343da92fb33232571c6b457369e088db5ebcf7bd2dae22a',
+        'chi_sq': 'e9c4f1236e1208d1746c3526af1ddabddae8a42895118bbc3cf0ef4d0cc16211',
     },
     'flag-diverged-consensus': {
         'msd': 'bffc5f1005f0fcc366c8c23736bcafd0fb21a6f1fc5e439ab7e0060e25b95a1e',
@@ -184,9 +189,9 @@ GOLDEN = {
         'chi_sq': '586ef341e3e97daeeed52476687eb46bf106ddbec6f251cbf3ab61ae3d428b81',
     },
     'flag-diverged-diffusion': {
-        'msd': '0f21f20a4ffa8a9a425e33fc32f935055c08e5af97dfb3250a3c9753364d7953',
+        'msd': '24266805490f6fb049b7d162a4bd6f8a4d3849d8c5f8677071656b0af5a92f8b',
         'bits': 'bb89f689cc69fb203147ec920214a771b9bd84f564a22f55d97ddf631ba11057',
-        'chi_sq': '4b1a0c10ff72a2b10b52f58318d871636e2701166fb23c7fa6e08e6e6a33bc54',
+        'chi_sq': '05a41ef4bb3291007505c8bc11657b41d18bb5e49e01d9d5764074b39eba2cb4',
     },
     'flag-diverged-lsq': {
         'msd': 'd233366381ca919683b798651b43f3d6478f18e8ef8893d9e29e59c1dafcd550',
@@ -428,6 +433,56 @@ def test_every_sweep_case_has_a_digest():
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_sweep_digest(name):
     assert sweep_digests(SWEEP_CASES[name]()) == SWEEP_GOLDEN[name]
+
+
+def failing_cases() -> list:
+    """The names, over all three tables, whose digests differ from the
+    stored ones."""
+    return ([name for name in sorted(CASES)
+             if digests(CASES[name]()) != GOLDEN[name]]
+            + [name for name in sorted(QUANTIZER_CASES)
+               if QUANTIZER_CASES[name]() != QUANTIZER_GOLDEN[name]]
+            + [name for name in sorted(SWEEP_CASES)
+               if sweep_digests(SWEEP_CASES[name]()) != SWEEP_GOLDEN[name]])
+
+
+# The cases whose digests follow OpenBLAS's kernels, by cause:
+# - cycled-qsgd, shared-qsgd, mixed-all-kinds: qsgd's row norm is an
+#   OpenBLAS ddot, whose summation order depends on the kernel;
+# - lsq-anq, lsq-mixed, debug-lsq, flag-diverged-lsq, sweep-lsq: the
+#   least-squares combination fit goes through SuperLU and LAPACK.
+BLAS_DEPENDENT = {"cycled-qsgd", "shared-qsgd", "mixed-all-kinds", "lsq-anq",
+                  "lsq-mixed", "debug-lsq", "flag-diverged-lsq", "sweep-lsq"}
+
+
+def _numpy_blas():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError):
+        return ""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or "openblas" not in _numpy_blas().lower(),
+                    reason="needs numpy on OpenBLAS on x86-64")
+def test_only_blas_dependent_digests_move_on_another_blas_core():
+    """The stored digests hold only on the CPU class that wrote them:
+    OpenBLAS picks its kernels by CPU when it loads, and a kernel's
+    summation order sets the last bits of a dot product or a solve. This
+    recomputes all three tables in a process forced onto OpenBLAS's
+    Prescott kernels (OPENBLAS_CORETYPE). Only BLAS_DEPENDENT cases may
+    change there; every other case, the run_diffusion ones included, makes
+    no BLAS call that reaches its digests."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    script = ("import json, sys; sys.path[:0] = sys.argv[1:]; "
+              "import test_golden; print(json.dumps(test_golden.failing_cases()))")
+    done = subprocess.run(
+        [sys.executable, "-c", script, os.path.join(here, "..", "src"), here],
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    failing = set(json.loads(done.stdout.splitlines()[-1]))
+    assert failing <= BLAS_DEPENDENT, sorted(failing - BLAS_DEPENDENT)
 
 
 if __name__ == "__main__":

@@ -572,6 +572,38 @@ def test_index_range_raises_nonfinite(entry):
     assert isinstance(exc.value.__cause__, quantizers.IndexRange)
 
 
+OVERFLOW_SPECS = {
+    "identity": quantizers.identity(3),
+    "uniform": quantizers.uniform(0.02, 3),
+    "anq": quantizers.anq(0.5, 0.01, 3),
+    "randc": quantizers.randc(2, 3),
+    "gossip": quantizers.gossip(0.6, 3),
+    "sparsifier": quantizers.sparsifier(0.5, 3),
+    "qsgd": quantizers.qsgd(4, 3),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mu", [1.7e308, 1e200])
+@pytest.mark.parametrize("kind", quantizers.KINDS)
+def test_every_scheme_diverges_quietly_in_an_overflowing_round(kind, mu):
+    # the first round's innovation leaves the float range; randc used to
+    # raise a bare ValueError from quantize, and the round printed overflow
+    # and invalid-value warnings for rows the divergence policy reports
+    top, basis, comb = make_network(6, 3, connectivity=0.6, seed=5,
+                                    mode="consensus-metropolis")
+    models = [DataModel(m.sigma_u_sq, m.sigma_v_sq, 100 * m.w_star)
+              for m in make_models(6, 3)]
+    cfg = RunConfig(mu=mu, gamma=0.8, iterations=10, runs=2, seed=3,
+                    quantizer=OVERFLOW_SPECS[kind], on_divergence="flag")
+    res = learning.run(cfg, models, basis, comb)
+    assert res.diverged and res.diverged_at == 1 and res.runs_used == 1
+    with pytest.raises(learning.NonFinite) as exc:
+        learning.run(RunConfig(**{**vars(cfg), "on_divergence": "raise"}),
+                     models, basis, comb)
+    assert exc.value.iteration == 1
+
+
 def test_nonfinite_survives_pickling():
     err = pickle.loads(pickle.dumps(learning.NonFinite(6)))
     assert err.iteration == 6
@@ -765,19 +797,61 @@ def test_batch_rejects_configs_that_do_not_share_draws(field, value):
 # the scalar diffusion special case
 
 def test_diffusion_matches_subspace_run_on_consensus():
+    # run_diffusion mixes the nonzero entries of each row in ascending
+    # column order, as run's neighbor table does, so the two recursions
+    # agree bit for bit; only the deviation references differ by rounding
     n, l = 6, 2
-    top, basis, comb = make_network(n, l, connectivity=0.5, seed=23,
-                                    mode="consensus-metropolis")
+    for connectivity, seed in ((0.5, 23), (0.6, 5), (0.3, 4)):
+        top, basis, comb = make_network(n, l, connectivity=connectivity,
+                                        seed=seed, mode="consensus-metropolis")
+        models = make_models(n, l)
+        spec = quantizers.uniform(0.05, l)
+        cfg = RunConfig(mu=0.02, gamma=0.85, iterations=300, runs=2,
+                        quantizer=spec, seed=29)
+        full = learning.run(cfg, models, basis, comb)
+        diff = learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
+        scale = max(1.0, np.max(full.msd))
+        assert np.max(np.abs(full.msd - diff.msd)) < 1e-12 * scale
+        assert np.array_equal(full.bits, diff.bits)
+        assert np.array_equal(full.chi_sq, diff.chi_sq)
+
+
+def test_diffusion_on_a_hand_built_matrix_matches_a_hand_recursion():
+    # an asymmetric pattern (a_01 != 0 = a_10), rows of unequal width, so
+    # that the table pads, and a zero diagonal entry (a_22): agent 2 mixes
+    # only its neighbors' states
+    a = np.array([[0.5, 0.5, 0.0, 0.0],
+                  [0.0, 0.2, 0.3, 0.5],
+                  [0.6, 0.0, 0.0, 0.4],
+                  [0.0, 0.0, 0.1, 0.9]])
+    n, l, mu, gamma, seed, runs, iters = 4, 2, 0.05, 0.7, 19, 2, 40
     models = make_models(n, l)
-    spec = quantizers.uniform(0.05, l)
-    cfg = RunConfig(mu=0.02, gamma=0.85, iterations=300, runs=2,
-                    quantizer=spec, seed=29)
-    full = learning.run(cfg, models, basis, comb)
-    diff = learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
-    scale = max(1.0, np.max(full.msd))
-    assert np.max(np.abs(full.msd - diff.msd)) < 1e-12 * scale
-    assert np.array_equal(full.bits, diff.bits)
-    assert np.max(np.abs(full.chi_sq - diff.chi_sq)) < 1e-12
+    cfg = RunConfig(mu=mu, gamma=gamma, iterations=iters, runs=runs,
+                    quantizer=quantizers.identity(l), seed=seed)
+    res = learning.run_diffusion(cfg, models, a)
+
+    su = np.array([m.sigma_u_sq for m in models])
+    wbar = np.average([m.w_star for m in models], axis=0, weights=su)
+    msd = np.zeros(iters + 1)
+    chi_sq = np.zeros((iters, n))
+    for rep in range(runs):
+        streams = StreamField(seed, rep)
+        w, phi = np.zeros((n, l)), np.zeros((n, l))
+        msd[0] += np.sum((w - wbar) ** 2) / n
+        for i in range(iters):
+            psi = np.array([
+                w[k] - mu * learning.sample_gradient(
+                    models[k], w[k], streams.stream(i, k, GRADIENT))
+                for k in range(n)])
+            chi_sq[i] += np.sum((psi - phi) ** 2, axis=1)
+            phi = psi       # the identity quantizer sends chi as it is
+            w = np.array([(1 - gamma) * phi[k]
+                          + gamma * sum(a[k, j] * phi[j] for j in range(n))
+                          for k in range(n)])
+            msd[i + 1] += np.sum((w - wbar) ** 2) / n
+    assert np.max(np.abs(res.msd - msd / runs)) < 1e-12 * max(1.0, msd.max())
+    assert np.max(np.abs(res.chi_sq - chi_sq / runs)) < 1e-12 * max(1.0, chi_sq.max())
+    assert np.all(res.bits == l * 32)
 
 
 def test_diffusion_shape_check():

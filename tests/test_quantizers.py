@@ -457,6 +457,30 @@ def test_qsgd_row_norm_matches_the_per_vector_norm():
                 assert np.array_equal(got, qz.reconstruct(spec, msg))
 
 
+@pytest.mark.parametrize("decade", [160, 200, 300, -160, -200, -300])
+def test_qsgd_stays_unbiased_where_the_square_sum_leaves_float_range(decade):
+    # ||x||^2 overflows to inf above 10^154 and underflows below 10^-154;
+    # before, the first reconstructed NaN and the second sent the zero
+    # message while sample_errors reported no error at all
+    spec = qz.qsgd(4, 5)
+    v = np.array([0.3, -1.2, 0.05, 2.0, -0.7])
+    x = v * 10.0 ** decade
+    scale = np.linalg.norm(v) * 10.0 ** decade
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        msg = qz.quantize(spec, x, stream(1))
+        costs, recon = qz.quantize_batch(spec, np.stack([x, -x]),
+                                         stream(2).random((2, 5)))
+        errors = qz.sample_errors(spec, x, stream(3), 20000) / scale
+    assert msg.norm / scale == pytest.approx(1.0, rel=1e-15)
+    assert 0 <= msg.levels.min() and msg.levels.max() <= spec.s
+    assert np.isfinite(qz.reconstruct(spec, msg)).all()
+    assert np.isfinite(recon).all() and np.all(costs == 32 + 5 * 3)
+    se = errors.std(axis=0) / math.sqrt(errors.shape[0])
+    assert np.all(np.abs(errors.mean(axis=0)) <= 4 * se)
+    assert np.abs(errors).max() > 0.01      # not the zero-error degenerate case
+
+
 def test_batch_of_spec_stacks_matches_each_spec():
     # one call over an (m, n, L) stack, spec j on stack j, with per-spec
     # parameter columns; anq mixes omega = 0 (linear) and omega > 0 stacks
