@@ -93,6 +93,10 @@ def _floats(raw):
     return vals
 
 
+def _names(raw):
+    return tuple(t.strip() for t in raw.split(",") if t.strip())
+
+
 def _range_pair(raw):
     vals = _floats(raw)
     if len(vals) != 2 or not vals[0] <= vals[1]:
@@ -108,12 +112,36 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# every key load_config reads, by section; any other section or key is a
+# config error, so that a typo cannot fall back to a default unnoticed
+_KEYS = {
+    "network": ("n", "topology_file", "connectivity", "seed", "combination"),
+    "model": ("l", "p_vectors", "tau", "sigma_u_sq", "sigma_v_sq",
+              "laplacian_weight"),
+    "algorithm": ("mu", "gamma", "iterations", "runs", "quantizer", "b_hp"),
+    "output": ("directory", "per_agent"),
+    "sweep": ("schemes", "values", "log_range"),
+}
+
+
 def load_config(path, seed_override=None, out_override=None) -> Experiment:
     """Parse and validate an INI experiment file."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    # no default section: configparser would copy the keys of a [DEFAULT]
+    # section into every section, so it is read as a section like any other
+    # (and rejected as unknown)
+    cp = configparser.ConfigParser(default_section="")
+    try:    # a repeated section or key, or a key before any section
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"{section}: unknown section")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{section}.{key}: unknown key")
 
     n = _field(cp, "network", "n", int)
     if n < 1:
@@ -181,26 +209,23 @@ def load_config(path, seed_override=None, out_override=None) -> Experiment:
         out_dir = out_override
     per_agent = _field(cp, "output", "per_agent", _bool, False)
 
-    sweep_schemes = ()
-    sweep_values = ()
-    if cp.has_section("sweep"):
-        sweep_schemes = tuple(
-            t.strip() for t in cp.get("sweep", "schemes").split(",") if t.strip()
-        ) if cp.has_option("sweep", "schemes") else ()
-        if cp.has_option("sweep", "values"):
-            sweep_values = _field(cp, "sweep", "values", _floats)
-        elif cp.has_option("sweep", "log_range"):
-            triple = _field(cp, "sweep", "log_range", _floats)
-            if len(triple) != 3:
-                raise ConfigError("sweep.log_range: need 'lo, hi, count'")
-            lo, hi, cnt = triple
-            if not (0 < lo < hi and cnt >= 2):
-                raise ConfigError("sweep.log_range: need 0 < lo < hi, count >= 2")
-            sweep_values = tuple(np.geomspace(lo, hi, int(cnt)))
-        if sweep_schemes and not sweep_values:
-            raise ConfigError("sweep.values: required when schemes are set")
-        if any(not v > 0 for v in sweep_values):
-            raise ConfigError("sweep.values: step-size grid must be > 0")
+    sweep_schemes = _field(cp, "sweep", "schemes", _names, ())
+    sweep_values = _field(cp, "sweep", "values", _floats, ())
+    log_range = _field(cp, "sweep", "log_range", _floats, None)
+    if log_range is not None:
+        if sweep_values:
+            raise ConfigError("sweep.log_range: set either this or sweep.values")
+        if len(log_range) != 3:
+            raise ConfigError("sweep.log_range: need 'lo, hi, count'")
+        lo, hi, cnt = log_range
+        if not (0 < lo < hi and cnt >= 2 and cnt == int(cnt)):
+            raise ConfigError("sweep.log_range: need 0 < lo < hi and an "
+                              "integer count >= 2")
+        sweep_values = tuple(np.geomspace(lo, hi, int(cnt)))
+    if sweep_schemes and not sweep_values:
+        raise ConfigError("sweep.values: required when schemes are set")
+    if any(not v > 0 for v in sweep_values):
+        raise ConfigError("sweep.values: step-size grid must be > 0")
 
     return Experiment(
         n=n, connectivity=connectivity, topology_file=topology_file, seed=seed,
@@ -233,7 +258,12 @@ def build_setup(exp: Experiment):
         top = basis = comb = None
     else:
         if exp.topology_file is not None:
-            top = graphs.load_topology(exp.topology_file, exp.n)
+            try:    # relative to the working directory, not to the config
+                top = graphs.load_topology(exp.topology_file, exp.n)
+            except OSError as exc:
+                raise ConfigError(
+                    f"network.topology_file: cannot read {exp.topology_file}: "
+                    f"{exc.strerror or exc}") from exc
         else:
             top = graphs.build_topology(exp.n, exp.connectivity, seed=exp.seed)
         if exp.combination == "consensus-metropolis":
@@ -380,23 +410,24 @@ def cmd_verify(exp: Experiment) -> int:
 
 
 def _sweep_grid(exp: Experiment):
+    """(scheme, [(v, spec), ...]) per sweep scheme over the grid values v:
+    uniform takes delta = v, "anq:omega=<f>" takes eta = v / 2, identity
+    takes nothing."""
+    values, l, b_hp = exp.sweep_values, exp.l, exp.b_hp
     grids = []
     for scheme in exp.sweep_schemes:
-        points = []
-        for v in exp.sweep_values:
-            if scheme == "uniform":
-                spec = quantizers.uniform(v, exp.l, exp.b_hp)
-            elif scheme.startswith("anq:"):
-                base = quantizers.parse_spec(
-                    scheme + f",eta={v / 2.0:.17g}", exp.l, exp.b_hp)
-                spec = base
-            elif scheme == "identity":
-                spec = quantizers.identity(exp.l, exp.b_hp)
-            else:
-                raise ConfigError(
-                    f"sweep.schemes: cannot sweep scheme {scheme!r}")
-            points.append((v, spec))
-        grids.append((scheme, points))
+        if scheme == "uniform":
+            specs = [quantizers.uniform(v, l, b_hp) for v in values]
+        elif scheme.startswith("anq:"):
+            # the scheme names omega; its string is parsed once, at values[0]
+            omega = quantizers.parse_spec(f"{scheme},eta={values[0] / 2.0:.17g}",
+                                          l, b_hp).omega
+            specs = [quantizers.anq(omega, v / 2.0, l, b_hp) for v in values]
+        elif scheme == "identity":
+            specs = [quantizers.identity(l, b_hp) for v in values]
+        else:
+            raise ConfigError(f"sweep.schemes: cannot sweep scheme {scheme!r}")
+        grids.append((scheme, list(zip(values, specs))))
     return grids
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "empirical_moments",
 ]
 
-KINDS = ("identity", "uniform", "anq", "randc", "gossip", "sparsifier", "qsgd")
 # level indices stay below this magnitude, where float64 holds every integer
 # and index_bit_lengths is exact
 MAX_INDEX = 2**53
@@ -94,38 +93,41 @@ class QuantizerSpec:
     s: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SpecError(f"unknown scheme {self.kind!r}")
+        k = self.kind
+        if k not in _GRAMMAR:
+            raise SpecError(f"unknown scheme {k!r}")
         if self.dim < 1:
             raise SpecError("dim must be >= 1")
         if self.b_hp < 1:
             raise SpecError("b_hp must be >= 1")
-        k = self.kind
-        if k == "uniform" and not (self.delta is not None and self.delta > 0):
-            raise SpecError("uniform needs delta > 0")
-        if k == "anq":
+        # b_hp + ceil(log2 L), a selected coordinate's word, is at most L b_hp
+        word = self.dim * self.b_hp
+        if k == "uniform":
+            if not (self.delta is not None and self.delta > 0):
+                raise SpecError("uniform needs delta > 0")
+            _check_finite_budget(self)
+        elif k == "anq":
             if self.omega is None or self.omega < 0:
                 raise SpecError("anq needs omega >= 0")
             if not (self.eta is not None and self.eta > 0):
                 raise SpecError("anq needs eta > 0")
-        if k in ("uniform", "anq"):
             _check_finite_budget(self)
-        if k == "randc" and not (self.c is not None and 1 <= self.c <= self.dim):
-            raise SpecError("randc needs 1 <= c <= dim")
-        if k == "gossip" and not (self.q is not None and 0 < self.q <= 1):
-            raise SpecError("gossip needs 0 < q <= 1")
-        if k == "sparsifier":
+        elif k == "randc":
+            if not (self.c is not None and 1 <= self.c <= self.dim):
+                raise SpecError("randc needs 1 <= c <= dim")
+        elif k == "gossip":
+            if not (self.q is not None and 0 < self.q <= 1):
+                raise SpecError("gossip needs 0 < q <= 1")
+        elif k == "sparsifier":
             if not self.qs or len(self.qs) != self.dim:
                 raise SpecError("sparsifier needs one probability per coordinate")
             if not all(0 < qj <= 1 for qj in self.qs):
                 raise SpecError("sparsifier needs 0 < q_j <= 1")
-        if k == "qsgd" and not (self.s is not None and 1 <= self.s < MAX_INDEX):
-            raise SpecError("qsgd needs integer 1 <= s < 2**53")
-        # b_hp + ceil(log2 L), a selected coordinate's word, is at most L b_hp
-        words = [self.dim * self.b_hp]
-        if k == "qsgd":
-            words.append(self.b_hp + self.dim * (1 + _ceil_log2(self.s)))
-        if max(words) >= MAX_INDEX:
+        elif k == "qsgd":
+            if not (self.s is not None and 1 <= self.s < MAX_INDEX):
+                raise SpecError("qsgd needs integer 1 <= s < 2**53")
+            word = max(word, self.b_hp + self.dim * (1 + _ceil_log2(self.s)))
+        if word >= MAX_INDEX:
             raise SpecError(f"b_hp = {self.b_hp} charges words of 2**53 bits or "
                             "more, beyond exact float arithmetic")
 
@@ -187,7 +189,7 @@ def gossip(q, dim, b_hp=32):
 
 
 def sparsifier(qs, dim, b_hp=32):
-    qs = tuple(float(v) for v in np.atleast_1d(qs))
+    qs = tuple(np.atleast_1d(np.asarray(qs, dtype=float)).tolist())
     if len(qs) == 1:
         qs = qs * dim
     return QuantizerSpec("sparsifier", dim, b_hp, qs=qs)
@@ -197,64 +199,65 @@ def qsgd(s, dim, b_hp=32):
     return QuantizerSpec("qsgd", dim, b_hp, s=int(s))
 
 
-def parse_spec(text, dim, b_hp=32) -> QuantizerSpec:
-    """Parse a scheme selection string.
+# the selection-string grammar: scheme -> its constructor and parameter keys,
+# in argument order; a key names a QuantizerSpec field, but sparsifier's q is qs
+_GRAMMAR = {"identity": (identity, ()), "uniform": (uniform, ("delta",)),
+            "anq": (anq, ("omega", "eta")), "randc": (randc, ("c",)),
+            "gossip": (gossip, ("q",)), "sparsifier": (sparsifier, ("q",)),
+            "qsgd": (qsgd, ("s",))}
+KINDS = tuple(_GRAMMAR)
 
-    Grammar: "identity", "uniform:delta=<f>", "anq:omega=<f>,eta=<f>",
-    "randc:c=<int>", "gossip:q=<f>", "sparsifier:q=<f-list>", "qsgd:s=<int>".
-    """
-    text = text.strip()
-    name, _, rest = text.partition(":")
+
+def parse_spec(text, dim, b_hp=32) -> QuantizerSpec:
+    """Parse "<scheme>" or "<scheme>:<key>=<value>,...", which names each of
+    the scheme's _GRAMMAR keys once, in any order, and nothing else; the
+    values convert through the scheme's constructor."""
+    name, _, rest = text.strip().partition(":")
     try:
-        if name == "identity":
-            if rest:
-                raise SpecError("identity takes no parameters")
-            return identity(dim, b_hp)
+        make, keys = _GRAMMAR[name]
+    except KeyError:
+        raise SpecError(f"unknown scheme in {text!r}") from None
+    args = [None] * len(keys)
+    # sparsifier's one value is a comma list
+    for item in ([rest] if name == "sparsifier" else rest.split(",")) if rest else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise SpecError(f"{name} takes no parameter {key!r}: {text!r}")
+        i = keys.index(key)
+        if args[i] is not None:
+            raise SpecError(f"repeated parameter {key!r}: {text!r}")
+        args[i] = value = value.strip()
+        if not value:
+            raise SpecError(f"empty parameter {key!r}: {text!r}")
+    if None in args:
+        raise SpecError(f"missing parameter {keys[args.index(None)]!r}: {text!r}")
+    args += dim, b_hp
+    try:
         if name == "sparsifier":
-            key, _, value = rest.partition("=")
-            if key != "q" or not value:
-                raise SpecError("expected sparsifier:q=<f-list>")
-            return sparsifier([float(v) for v in value.split(",")], dim, b_hp)
-        params = {}
-        if rest:
-            for item in rest.split(","):
-                key, _, value = item.partition("=")
-                if not value:
-                    raise SpecError(f"malformed parameter {item!r}")
-                params[key.strip()] = value.strip()
-        if name == "uniform":
-            return uniform(float(params.pop("delta")), dim, b_hp)
-        if name == "anq":
-            return anq(float(params.pop("omega")), float(params.pop("eta")), dim, b_hp)
-        if name == "randc":
-            return randc(int(params.pop("c")), dim, b_hp)
-        if name == "gossip":
-            return gossip(float(params.pop("q")), dim, b_hp)
-        if name == "qsgd":
-            return qsgd(int(params.pop("s")), dim, b_hp)
+            args[0] = [float(v) for v in args[0].split(",")]
+        return make(*args)
     except SpecError:
         raise
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecError(f"cannot parse {text!r}: {exc}") from None
-    raise SpecError(f"unknown scheme in {text!r}")
+
+
+def _number(v) -> str:
+    """An int as it is; a float as :g where that reads back exactly, else repr."""
+    if not isinstance(v, float):
+        return str(v)
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
 
 
 def spec_string(spec: QuantizerSpec) -> str:
-    """Inverse of parse_spec, for manifests and CSV headers."""
-    k = spec.kind
-    if k == "identity":
-        return "identity"
-    if k == "uniform":
-        return f"uniform:delta={spec.delta:g}"
-    if k == "anq":
-        return f"anq:omega={spec.omega:g},eta={spec.eta:g}"
-    if k == "randc":
-        return f"randc:c={spec.c}"
-    if k == "gossip":
-        return f"gossip:q={spec.q:g}"
-    if k == "sparsifier":
-        return "sparsifier:q=" + ",".join(f"{v:g}" for v in spec.qs)
-    return f"qsgd:s={spec.s}"
+    """The string parse_spec reads back to spec; for manifests and headers."""
+    k, keys = spec.kind, _GRAMMAR[spec.kind][1]
+    values = ([",".join(map(_number, spec.qs))] if k == "sparsifier" else
+              [_number(getattr(spec, key)) for key in keys])
+    pairs = ",".join(f"{key}={value}" for key, value in zip(keys, values))
+    return f"{k}:{pairs}" if pairs else k
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +281,12 @@ def randomized_round(x_j, g, h, rng) -> int:
 
 def compander_forward(t, omega, eta):
     """Logarithmic compression map; linear t/(2 eta) in the omega -> 0 limit."""
-    t = np.asarray(t, dtype=float)
-    if omega == 0.0:
-        return t / (2.0 * eta)
-    return np.sign(t) * np.log1p((omega / eta) * np.abs(t)) / (2.0 * math.asinh(omega))
+    return _index_maps([anq(omega, eta, 1)])[0](np.asarray(t, dtype=float))
 
 
 def compander_inverse(t, omega, eta):
     """Expansion map, exact inverse of compander_forward."""
-    t = np.asarray(t, dtype=float)
-    if omega == 0.0:
-        return 2.0 * eta * t
-    return np.sign(t) * (eta / omega) * np.expm1(2.0 * np.abs(t) * math.asinh(omega))
+    return _index_maps([anq(omega, eta, 1)])[1](np.asarray(t, dtype=float))
 
 
 def _floor_levels(t):
@@ -342,7 +339,7 @@ def _index_maps(specs):
     spread = _column([s.eta / s.omega for s in specs])
     half = _column([math.asinh(s.omega) for s in specs])
 
-    # compander_forward and compander_inverse, with columns for parameters
+    # the compander and its inverse, with columns for parameters
     def g(t):
         return np.sign(t) * np.log1p(ratio * np.abs(t)) / scale
 
@@ -659,7 +656,8 @@ def empirical_moments(spec: QuantizerSpec, x, rng, draws: int, chunk: int = 2000
     """Streaming error moments over many draws.
 
     Returns a dict with componentwise mean error and its standard error, the
-    mean squared norm error and its standard error.
+    mean squared norm error and its standard error. The sums run on errors
+    scaled by a power of two, so that no square over- or underflows.
     """
     if draws < 1 or chunk < 1:
         raise ValueError(f"need draws >= 1 and chunk >= 1, got {draws} and {chunk}")
@@ -676,7 +674,9 @@ def empirical_moments(spec: QuantizerSpec, x, rng, draws: int, chunk: int = 2000
         b = min(chunk, draws - done)
         err = sample_errors(spec, x, rng, b)
         if shift is None:
-            shift = err[0].copy()
+            k = int(np.frexp(np.abs(err).max())[1])
+            shift = np.ldexp(err[0], -k)
+        err = np.ldexp(err, -k)
         s1 += err.sum(axis=0)
         # variance about the first draw: no cancellation when the errors
         # barely spread, and exactly 0 when every draw gives the same error
@@ -687,14 +687,13 @@ def empirical_moments(spec: QuantizerSpec, x, rng, draws: int, chunk: int = 2000
         q1 += nsq.sum()
         q2 += (nsq**2).sum()
         done += b
-    mean = s1 / draws
     var = np.maximum(d2 / draws - (d1 / draws)**2, 0.0)
     mse = q1 / draws
     mse_var = max(q2 / draws - mse**2, 0.0)
     return {
-        "mean_err": mean,
-        "se_mean": np.sqrt(var / draws),
-        "mse": mse,
-        "se_mse": math.sqrt(mse_var / draws),
+        "mean_err": np.ldexp(s1 / draws, k),
+        "se_mean": np.ldexp(np.sqrt(var / draws), k),
+        "mse": np.ldexp(mse, 2 * k),
+        "se_mse": float(np.ldexp(math.sqrt(mse_var / draws), 2 * k)),
         "draws": draws,
     }

@@ -2,6 +2,7 @@
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from subspaceq import cli, graphs, quantizers
 from subspaceq.cli import ConfigError
 
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = """\
 [network]
@@ -197,6 +199,156 @@ def test_sweep_section_parsing(tmp_path):
         cli.load_config(base_config(tmp_path, extra=extra))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # before: each of these loaded, the typo falling back to a default
+    ("runs = 2", "run = 2", "algorithm.run: unknown key"),
+    ("runs = 2", "runs = 2\nb_hq = 8", "algorithm.b_hq: unknown key"),
+    ("[output]", "[outptu]", "outptu: unknown section"),
+    ("[network]", "[DEFAULT]\nruns = 3\n\n[network]", "DEFAULT: unknown section"),
+])
+def test_unknown_sections_and_keys_are_config_errors(tmp_path, capsys, old, new,
+                                                     message):
+    path = base_config(tmp_path, **{old: new})
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli.load_config(path)
+    assert cli.main(["run", "--config", path]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # before: a configparser traceback
+    ("[network]\nn = 5\nn = 6\n", "option 'n' in section 'network' already exists"),
+    ("[network]\nn = 5\n[network]\nseed = 1\n", "section 'network' already exists"),
+    ("n = 5\n", "no section headers"),
+])
+def test_a_config_configparser_cannot_read_is_a_config_error(tmp_path, capsys,
+                                                              text, message):
+    path = write_config(tmp_path, text)
+    assert cli.main(["verify", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: cannot parse config file {path}: " in err
+    assert message in err
+
+
+@pytest.mark.parametrize("sweep, message", [
+    # before: the count was truncated to 10, and values won over log_range
+    ("log_range = 0.004, 0.4, 10.9", "integer count >= 2"),
+    ("log_range = 0.004, 0.4, 1", "integer count >= 2"),
+    ("values = 0.1, 0.2\nlog_range = 0.004, 0.4, 10", "either this or sweep.values"),
+])
+def test_sweep_grid_errors(tmp_path, sweep, message):
+    path = base_config(tmp_path, extra=f"\n[sweep]\nschemes = uniform\n{sweep}\n")
+    with pytest.raises(ConfigError, match=r"sweep\.log_range: .*" + re.escape(message)):
+        cli.load_config(path)
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for p in [*ROOT.glob("configs/*.ini"),
+                                       ROOT / "benchmarks" / "wide_mixed.ini"]))
+def test_every_shipped_config_loads(path):
+    cli.load_config(str(ROOT / path))
+
+
+# every declared key with a valid value; connectivity excludes topology_file
+# and values excludes log_range, so each config names one of each pair
+EVERY_KEY = {
+    "network": {"n": "5", "seed": "11", "combination": "subspace-lsq",
+                "connectivity": "1.0", "topology_file": "edges.txt"},
+    "model": {"l": "2", "p_vectors": "2", "tau": "3.0", "sigma_u_sq": "1.5, 2.5",
+              "sigma_v_sq": "0.1, 0.2", "laplacian_weight": "0.1"},
+    "algorithm": {"mu": "0.01", "gamma": "0.9", "iterations": "600", "runs": "2",
+                  "quantizer": "uniform:delta=0.1", "b_hp": "16"},
+    "output": {"directory": "out", "per_agent": "yes"},
+    "sweep": {"schemes": "uniform", "values": "0.1, 0.2",
+              "log_range": "0.01, 1.0, 3"},
+}
+
+
+def test_load_config_reads_exactly_the_declared_keys(tmp_path, monkeypatch):
+    assert {s: set(keys) for s, keys in EVERY_KEY.items()} == \
+        {s: set(keys) for s, keys in cli._KEYS.items()}
+    asked = set()
+    field = cli._field
+
+    def spy(cp, section, key, *args):
+        asked.add((section, key))
+        return field(cp, section, key, *args)
+    monkeypatch.setattr(cli, "_field", spy)
+    for drop in (("topology_file", "log_range"), ("connectivity", "values")):
+        text = "".join(f"[{section}]\n" + "".join(
+            f"{key} = {value}\n" for key, value in keys.items() if key not in drop)
+            for section, keys in EVERY_KEY.items())
+        exp = cli.load_config(write_config(tmp_path, text))
+        assert exp.b_hp == 16 and exp.per_agent and len(exp.sweep_values) > 1
+    assert asked == {(s, k) for s, keys in cli._KEYS.items() for k in keys}
+
+
+def _unreadable_topology(tmp_path):
+    extra = "\n[sweep]\nschemes = uniform\nvalues = 0.1\n"
+    return base_config(tmp_path, iters=500, extra=extra, **{
+        "connectivity = 1.0": f"topology_file = {tmp_path / 'missing.edges'}"})
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "rate-distortion"])
+def test_unreadable_topology_file_is_a_config_error(tmp_path, capsys, command):
+    # before: a FileNotFoundError traceback from graphs.load_topology
+    path = _unreadable_topology(tmp_path)
+    assert cli.main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert (f"config error: network.topology_file: cannot read "
+            f"{tmp_path / 'missing.edges'}: No such file or directory") in err
+
+
+def test_topology_file_is_relative_to_the_working_directory(tmp_path, capsys,
+                                                            monkeypatch):
+    config = str(ROOT / "configs" / "baseline.ini")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--config", config]) == 1
+    assert ("config error: network.topology_file: cannot read "
+            "configs/smallworld50.edges") in capsys.readouterr().err
+
+
+MALFORMED_SPECS = ["uniform:delta=0.1,foo=2", "anq:omega=0.25,eta=0.01,eta=5",
+                   "anq:omega=0.25", "uniform:delta=", "nope:x=1"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPECS)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_malformed_quantizer_string_is_a_config_error(tmp_path, capsys,
+                                                        command, text):
+    path = base_config(tmp_path, **{"anq:omega=0.25,eta=auto": text})
+    assert cli.main([command, "--config", path]) == 1
+    assert "config error: algorithm.quantizer: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", MALFORMED_SPECS)
+def test_quantizer_test_rejects_a_malformed_string(capsys, text):
+    assert cli.main(["quantizer-test", text, "--trials", "10"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_grid_and_eta_auto_specs_read_back_to_themselves():
+    # before: 24 of the 30 grid specs and the eta=auto spec did not
+    exp = cli.load_config(str(ROOT / "configs" / "rate_distortion.ini"))
+    grids = cli._sweep_grid(exp)
+    specs = []
+    for scheme, points in grids:
+        for v, spec in points:
+            if scheme.startswith("anq:"):  # the spec the .17g text parses to
+                again = quantizers.parse_spec(f"{scheme},eta={v / 2.0:.17g}",
+                                              exp.l, exp.b_hp)
+                assert again == spec
+            specs.append(spec)
+    assert len(specs) == 30
+    base = cli.load_config(str(ROOT / "configs" / "baseline.ini"))
+    specs.append(cli.resolve_quantizer(base.quantizer_text, base.mus[0], base.l,
+                                       base.b_hp))
+    for spec in specs:
+        text = quantizers.spec_string(spec)
+        assert quantizers.parse_spec(text, spec.dim, spec.b_hp) == spec, text
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -215,6 +367,19 @@ def test_run_writes_csvs_and_manifest(tmp_path):
     assert "seed = 11" in manifest
     assert "quantizer[mu=0.01]" in manifest
     assert "metrics_mu0p01.csv" in manifest
+
+
+def test_manifest_records_the_resolved_quantizer_exactly(tmp_path):
+    # before: eta=auto at mu = 0.003, l = 3 read eta=0.00122474
+    path = base_config(tmp_path, iters=20,
+                       **{"mu = 0.01": "mu = 0.003", "l = 2": "l = 3"})
+    assert cli.main(["run", "--config", path]) == 0
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    line = next(t for t in manifest.splitlines() if t.startswith("quantizer[mu="))
+    text = line.split(" = ", 1)[1]
+    assert text == "anq:omega=0.25,eta=0.0012247448713915891"
+    assert quantizers.parse_spec(text, 3) == cli.resolve_quantizer(
+        "anq:omega=0.25,eta=auto", 0.003, 3, 32)
 
 
 def test_run_byte_identical_across_invocations_and_workers(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspaceq import codec
 from subspaceq import quantizers as qz
@@ -137,6 +140,99 @@ def test_parse_spec_rejects_garbage():
                  "randc:c=", "identity:delta=1", "sparsifier:p=0.5"]:
         with pytest.raises(qz.SpecError):
             qz.parse_spec(text, 4)
+
+
+# strings that :g already printed exactly keep their bytes
+@pytest.mark.parametrize("text", [
+    "identity", "uniform:delta=0.02", "uniform:delta=1e-05", "gossip:q=1",
+    "gossip:q=0.5", "anq:omega=0.25,eta=0.1", "anq:omega=0,eta=2.5e+20",
+    "randc:c=2", "sparsifier:q=0.5,0.25,1", "qsgd:s=4", "qsgd:s=9007199254740991"])
+def test_spec_string_keeps_the_bytes_of_exact_short_strings(text):
+    assert qz.spec_string(qz.parse_spec(text, 3)) == text
+
+
+def test_parse_spec_takes_parameters_in_any_order_and_with_spaces():
+    assert qz.parse_spec(" anq: eta = 0.1 , omega=0.25 ", 5) == qz.anq(0.25, 0.1, 5)
+    assert qz.parse_spec("sparsifier:q= 0.5, 0.25 ,1", 3).qs == (0.5, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("foo", "unknown scheme"),
+    ("Uniform:delta=0.1", "unknown scheme"),
+    ("uniform:delta=0.1,foo=2", "uniform takes no parameter 'foo'"),
+    ("identity:delta=1", "identity takes no parameter 'delta'"),
+    ("sparsifier:qs=0.5", "sparsifier takes no parameter 'qs'"),
+    ("uniform:delta=0.1,", "uniform takes no parameter ''"),
+    ("anq:omega=0.25,eta=0.01,eta=5", "repeated parameter 'eta'"),
+    ("anq:eta=0.01,omega=0.25,omega=0.25", "repeated parameter 'omega'"),
+    ("randc:c=2,c=2", "repeated parameter 'c'"),
+    ("anq:omega=0.25", "missing parameter 'eta'"),
+    ("uniform", "missing parameter 'delta'"),
+    ("sparsifier", "missing parameter 'q'"),
+    ("uniform:delta=", "empty parameter 'delta'"),
+    ("qsgd:s= ", "empty parameter 's'"),
+    ("sparsifier:q=", "empty parameter 'q'"),
+    ("anq:omega,eta=0.1", "empty parameter 'omega'"),
+    ("sparsifier:q=0.5,,1", "cannot parse"),
+    ("randc:c=2.0", "cannot parse"),
+])
+def test_parse_spec_rejects_what_the_grammar_does_not_name(text, message):
+    # before: the unknown and repeated cases parsed, the last value winning
+    with pytest.raises(qz.SpecError, match=re.escape(message)):
+        qz.parse_spec(text, 3)
+
+
+# spec_string before it printed exact floats: every float as :g
+G_FORM = {
+    "identity": lambda s: "identity",
+    "uniform": lambda s: f"uniform:delta={s.delta:g}",
+    "anq": lambda s: f"anq:omega={s.omega:g},eta={s.eta:g}",
+    "randc": lambda s: f"randc:c={s.c}",
+    "gossip": lambda s: f"gossip:q={s.q:g}",
+    "sparsifier": lambda s: "sparsifier:q=" + ",".join(f"{v:g}" for v in s.qs),
+    "qsgd": lambda s: f"qsgd:s={s.s}",
+}
+# (0, 1] down to the smallest subnormal, and positive floats whose budgets
+# stay finite (L delta**2 / 4 and 2 L eta**2 at L <= 6)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+POSITIVE = st.floats(min_value=5e-324, max_value=1e150)
+
+
+@st.composite
+def valid_specs(draw):
+    dim, b_hp = draw(st.integers(1, 6)), draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(qz.KINDS))
+    if kind == "uniform":
+        return qz.uniform(draw(POSITIVE), dim, b_hp)
+    if kind == "anq":
+        return qz.anq(draw(st.floats(0.0, 1e150)), draw(POSITIVE), dim, b_hp)
+    if kind == "randc":
+        return qz.randc(draw(st.integers(1, dim)), dim, b_hp)
+    if kind == "gossip":
+        return qz.gossip(draw(UNIT), dim, b_hp)
+    if kind == "sparsifier":
+        return qz.sparsifier(draw(st.lists(UNIT, min_size=dim, max_size=dim)),
+                             dim, b_hp)
+    if kind == "qsgd":
+        return qz.qsgd(draw(st.integers(1, qz.MAX_INDEX - 1)), dim, b_hp)
+    return qz.identity(dim, b_hp)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(valid_specs())
+def test_spec_string_round_trips_every_valid_spec(spec):
+    # before: every float printed as :g, which keeps 6 digits
+    text = qz.spec_string(spec)
+    assert qz.parse_spec(text, spec.dim, spec.b_hp) == spec
+    short = G_FORM[spec.kind](spec)
+    if qz.parse_spec(short, spec.dim, spec.b_hp) == spec:
+        assert text == short
+
+
+def test_spec_string_prints_a_float_that_g_truncates_in_full():
+    spec = qz.anq(0.25, 0.003 / math.sqrt(10.0), 5)
+    assert qz.spec_string(spec) == "anq:omega=0.25,eta=0.0009486832980505137"
+    assert qz.spec_string(qz.uniform(1 / 3, 2)) == "uniform:delta=0.3333333333333333"
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +441,32 @@ def test_moments_of_errors_without_spread():
     assert np.allclose(one["se_mean"], two["se_mean"], rtol=1e-12, atol=0)
     errs = qz.sample_errors(spec, x, stream(4), 5000)
     assert np.allclose(one["se_mean"], errs.std(axis=0) / np.sqrt(5000), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("make", [qz.qsgd, qz.randc, qz.gossip, qz.sparsifier])
+def test_moments_stay_finite_and_exact_at_every_scale(make):
+    # before: at 2**531 (about 1e160) mse was inf and se_mean NaN; from
+    # 2**266 se_mse was NaN, and at 2**-531 it underflowed to 0
+    spec = make({"qsgd": 4, "randc": 2}.get(make.__name__, 0.5), 5)
+    x = np.linspace(-1.0, 2.0, 5)
+    ref = qz.empirical_moments(spec, x, stream(6), 3000, chunk=1000)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    for k in (-1070, -1000, -531, -266, 266, 531, 1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # 2**2000 overflows
+            got = qz.empirical_moments(spec, np.ldexp(x, k), stream(6), 3000,
+                                       chunk=1000)
+            want = {key: np.ldexp(ref[key], p * k) for key, p in
+                    (("mean_err", 1), ("se_mean", 1), ("mse", 2), ("se_mse", 2))}
+        assert np.all(np.isfinite(got["mean_err"])), k
+        assert np.all(np.isfinite(got["se_mean"])), k
+        if np.isfinite(want["mse"]):
+            assert np.isfinite(got["mse"]) and np.isfinite(got["se_mse"]), k
+        for key, value in want.items():
+            normal = (np.abs(value) >= tiny) & (np.abs(value) <= huge)
+            np.testing.assert_allclose(np.asarray(got[key])[normal],
+                                       np.asarray(value)[normal], rtol=1e-12,
+                                       err_msg=f"{key} at 2**{k}")
 
 
 def test_small_omega_limit_recovers_uniform_levels():
