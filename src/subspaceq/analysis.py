@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec
-from .graphs import CombinationMatrix, SubspaceBasis, reduced_problem
+from .graphs import (CombinationMatrix, SpectralViolation, SubspaceBasis,
+                     reduced_problem)
 from .learning import STEADY_WINDOW, RunConfig, run, steady_mean
 
 DEFECTIVE_COND = 1e8
@@ -43,15 +44,12 @@ class SpectralReport:
     rho_j: spectral radius of A - P_U (the minor-block contraction factor).
     rho_i_minus_j: max |1 - lambda| over the minor-block eigenvalues.
     v1, v2: 2-norms of the inverse eigenbasis and the eigenbasis [U | V_R].
-    epsilon_used: perturbation applied to reach a diagonalizable form; always
-    0 here, since defective input raises instead of being perturbed.
     """
 
     rho_j: float
     rho_i_minus_j: float
     v1: float
     v2: float
-    epsilon_used: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -107,25 +105,27 @@ def spectral_report(comb: CombinationMatrix, basis: SubspaceBasis) -> SpectralRe
         rho_i_minus_j=float(np.max(np.abs(1.0 - lam))),
         v1=v1,
         v2=v2,
-        epsilon_used=0.0,
     )
 
 
 def gamma_bound(report: SpectralReport, beta_q_max: float) -> float:
     """Supremum of provably admissible mixing parameters.
 
-    min{1, (1 - (rho_j + eps)) / (4 v1^2 v2^2 beta_q_max (rho_{I-J} + eps)^2)}
-    with eps = report.epsilon_used; beta_q_max is the largest relative noise
-    coefficient among the agents' quantizers. Zero relative noise clips to 1.
+    min{1, (1 - rho_j) / (4 v1^2 v2^2 beta_q_max rho_{I-J}^2)}
+    where beta_q_max is the largest relative noise coefficient among the
+    agents' quantizers. Zero relative noise clips to 1. The bound needs a
+    contracting minor block: rho_j >= 1 raises SpectralViolation.
     """
     if not beta_q_max >= 0:
         raise ValueError("beta_q_max must be nonnegative")
+    if not report.rho_j < 1.0:
+        raise SpectralViolation(
+            f"no admissible mixing parameter: rho_j = {report.rho_j:g} >= 1")
     if beta_q_max == 0.0:
         return 1.0
-    eps = report.epsilon_used
-    num = 1.0 - (report.rho_j + eps)
+    num = 1.0 - report.rho_j
     den = 4.0 * report.v1**2 * report.v2**2 * beta_q_max \
-        * (report.rho_i_minus_j + eps) ** 2
+        * report.rho_i_minus_j ** 2
     return min(1.0, num / den)
 
 

@@ -652,17 +652,27 @@ def sample_errors(spec: QuantizerSpec, x, rng, draws: int) -> np.ndarray:
     return x - _kernel([spec])(x, us)[1]
 
 
-def empirical_moments(spec: QuantizerSpec, x, rng, draws: int, chunk: int = 20000):
+# empirical_moments draws at most MOMENT_CHUNK_ROWS rows of errors at a time,
+# fewer for long vectors, so that one chunk holds at most
+# MOMENT_CHUNK_ROWS * MOMENT_CHUNK_DIM floats (10 MB); every dim up to
+# MOMENT_CHUNK_DIM takes the full row count
+MOMENT_CHUNK_ROWS = 20_000
+MOMENT_CHUNK_DIM = 64
+
+
+def empirical_moments(spec: QuantizerSpec, x, rng, draws: int):
     """Streaming error moments over many draws.
 
     Returns a dict with componentwise mean error and its standard error, the
     mean squared norm error and its standard error. The sums run on errors
     scaled by a power of two, so that no square over- or underflows.
     """
-    if draws < 1 or chunk < 1:
-        raise ValueError(f"need draws >= 1 and chunk >= 1, got {draws} and {chunk}")
+    if draws < 1:
+        raise ValueError(f"need draws >= 1, got {draws}")
     x = np.asarray(x, dtype=float)
     L = spec.dim
+    chunk = max(1, min(MOMENT_CHUNK_ROWS,
+                       MOMENT_CHUNK_ROWS * MOMENT_CHUNK_DIM // L))
     s1 = np.zeros(L)
     d1 = np.zeros(L)
     d2 = np.zeros(L)

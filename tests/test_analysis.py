@@ -1,5 +1,6 @@
 """Tests for spectral analysis and rate-distortion sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,6 @@ def test_projector_report_is_trivial():
     assert rep.rho_i_minus_j == pytest.approx(1.0, abs=1e-12)
     assert rep.v1 == pytest.approx(1.0, abs=1e-10)
     assert rep.v2 == pytest.approx(1.0, abs=1e-10)
-    assert rep.epsilon_used == 0.0
 
 
 def test_metropolis_block_matches_scalar_eigensolve():
@@ -208,6 +208,34 @@ def test_gamma_bound_clips_and_validates():
     assert tiny == 1.0  # huge raw bound, clipped
     with pytest.raises(ValueError):
         analysis.gamma_bound(rep, -0.1)
+
+
+def test_spectral_report_holds_exactly_its_four_quantities():
+    names = [f.name for f in dataclasses.fields(SpectralReport)]
+    assert names == ["rho_j", "rho_i_minus_j", "v1", "v2"]
+
+
+@pytest.mark.parametrize("rho_j, rho_i_minus_j", [(1.0, 0.0), (2.0, 1.0),
+                                                  (float("nan"), 0.5)])
+@pytest.mark.parametrize("beta_sq", [0.0, 1.0])
+def test_gamma_bound_needs_a_contracting_minor_block(rho_j, rho_i_minus_j,
+                                                     beta_sq):
+    # before: ZeroDivisionError at rho_j = 1, rho_{I-J} = 0, and a negative
+    # "bound" of -0.5 at rho_j = 2
+    rep = SpectralReport(rho_j, rho_i_minus_j, 1.0, 1.0)
+    with pytest.raises(graphs.SpectralViolation, match="rho_j"):
+        analysis.gamma_bound(rep, beta_sq)
+
+
+def test_gamma_bound_on_the_identity_raises_spectral_violation():
+    n = 4
+    basis = graphs.subspace_consensus(n, 1)
+    top = graphs.build_topology(n, 1.0, seed=0)
+    rep = analysis.spectral_report(
+        CombinationMatrix.from_dense(np.eye(n), top, (1,) * n), basis)
+    assert rep.rho_j == 1.0 and rep.rho_i_minus_j == 0.0
+    with pytest.raises(graphs.SpectralViolation):
+        analysis.gamma_bound(rep, 0.5)
 
 
 _NAN = float("nan")

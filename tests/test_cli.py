@@ -420,6 +420,85 @@ def test_run_divergence_message_across_workers(tmp_path, capsys):
     assert "divergence: iterate exceeded the divergence guard at iteration" in err
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", ""),
+    ("rate-distortion", "\n[sweep]\nschemes = uniform\nvalues = 0.02, 0.2\n")])
+def test_workers_fork_only_the_processes_they_use(tmp_path, monkeypatch,
+                                                  command, extra):
+    # before: max_workers=64 for 2 chunks, so the pool forked 62 idle processes
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    mu = "mu = 0.01" if extra else "mu = 0.01, 0.02"
+    path = base_config(tmp_path, iters=500, extra=extra, **{"mu = 0.01": mu})
+    assert cli.main([command, "--config", path, "--workers", "64"]) == 0
+    assert RecordingPool.sizes == [2]
+
+
+@pytest.mark.parametrize("command", ["run", "rate-distortion"])
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_is_a_config_error(tmp_path, capsys, command, workers):
+    # before: exit 0, run quietly in this process
+    extra = "\n[sweep]\nschemes = uniform\nvalues = 0.1\n"
+    path = base_config(tmp_path, iters=500, extra=extra)
+    assert cli.main([command, "--config", path, "--workers", workers]) == 1
+    assert "config error: --workers: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_step_sizes_name_their_files_exactly(tmp_path, capsys):
+    # before: both wrote metrics_mu0p003.csv, the second over the first, and
+    # the manifest read "mus = 0.003, 0.003"
+    path = base_config(tmp_path, iters=20,
+                       **{"mu = 0.01": "mu = 0.003, 0.0030000001"})
+    assert cli.main(["run", "--config", path]) == 0
+    out = tmp_path / "out"
+    names = sorted(p.name for p in out.glob("metrics_*.csv"))
+    assert names == ["metrics_mu0p003.csv", "metrics_mu0p0030000001.csv"]
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "mus = 0.003, 0.0030000001" in manifest
+    assert "files = metrics_mu0p003.csv, metrics_mu0p0030000001.csv" in manifest
+    assert [t.split(" = ")[0] for t in manifest if t.startswith("quantizer[")] \
+        == ["quantizer[mu=0.003]", "quantizer[mu=0.0030000001]"]
+    printed = [t.split(":")[0] for t in capsys.readouterr().out.splitlines()
+               if t.startswith("mu=")]
+    assert printed == ["mu=0.003", "mu=0.0030000001"]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.ini")),
+                         ids=lambda p: p.name)
+def test_shipped_step_sizes_keep_their_names(path):
+    # the exact number form is :g wherever :g reads back exactly
+    for mu in cli.load_config(str(path)).mus:
+        assert cli._mu_tag(mu) == f"{mu:g}".replace(".", "p")
+
+
+@pytest.mark.parametrize("mus", ["0.01, 0.01", "0.01, 0.02, 1e-2"])
+def test_a_repeated_step_size_is_a_config_error(tmp_path, capsys, mus):
+    path = base_config(tmp_path, **{"mu = 0.01": f"mu = {mus}"})
+    assert cli.main(["run", "--config", path]) == 1
+    assert ("config error: algorithm.mu: step size 0.01 is repeated"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_single_agent_is_sgd_trace(tmp_path):
     text = BASE.format(iters=900, out=tmp_path / "out")
     text = text.replace("n = 5", "n = 1")
@@ -543,6 +622,26 @@ def test_verify_identity_quantizer_prints_clipped_bound(tmp_path, capsys):
     assert "gamma_bound: 1 " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", [["--workers", "2"], ["--out", "x"]])
+def test_verify_takes_no_workers_or_out(tmp_path, capsys, option):
+    # verify runs nothing and writes nothing; before, both were accepted and
+    # ignored
+    path = base_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", path, *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_spectral_line_names_four_quantities(tmp_path, capsys):
+    path = base_config(tmp_path)
+    assert cli.main(["verify", "--config", path]) == 0
+    line = next(t for t in capsys.readouterr().out.splitlines()
+                if t.startswith("spectral report:"))
+    assert re.fullmatch(r"spectral report: rho_j=\S+ rho_i_minus_j=\S+ "
+                        r"v1=\S+ v2=\S+", line)
+
+
 def test_verify_disconnected_topology_file(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("1 2\n3 4\n")  # two components on 4 nodes
@@ -606,6 +705,18 @@ def test_rate_distortion_requires_sweep(tmp_path, capsys):
     path = base_config(tmp_path)
     assert cli.main(["rate-distortion", "--config", path]) == 1
     assert "sweep.schemes" in capsys.readouterr().err
+
+
+def test_rate_distortion_with_several_step_sizes_is_a_config_error(tmp_path,
+                                                                   capsys):
+    # before: it swept mus[0] and ignored the rest
+    extra = "\n[sweep]\nschemes = uniform\nvalues = 0.1\n"
+    path = base_config(tmp_path, iters=500, extra=extra,
+                       **{"mu = 0.01": "mu = 0.01, 0.02"})
+    assert cli.main(["rate-distortion", "--config", path]) == 1
+    assert ("config error: algorithm.mu: rate-distortion sweeps one step size"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_rate_distortion_rejects_unsweepable_scheme(tmp_path, capsys):
@@ -704,6 +815,33 @@ def test_quantizer_test_judges_spreadless_bias_by_the_budget(capsys):
                      "--trials", "1000"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "all contract checks passed" in out
+
+
+@pytest.mark.parametrize("spec, dim", [("sparsifier:q=0.5", "8"),
+                                       ("sparsifier:q=0.5", "100"),
+                                       ("gossip:q=0.5", "8")])
+def test_quantizer_test_passes_a_budget_met_with_equality(capsys, spec, dim):
+    # at q = 0.5 every draw's error norm is the budget, so mse == cap up to
+    # rounding; before, an absolute 1e-12 slack failed input 3 (cap 97142.9)
+    assert cli.main(["quantizer-test", spec, "--dim", dim,
+                     "--trials", "20000"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "all contract checks passed" in out
+
+
+def test_quantizer_test_fails_a_budget_cut_below_the_error(monkeypatch, capsys):
+    budget = quantizers.noise_budget
+
+    def cut(spec):
+        nb = budget(spec)
+        return quantizers.NoiseBudget(nb.beta_sq * (1 - 1e-9), nb.sigma_sq)
+    monkeypatch.setattr(quantizers, "noise_budget", cut)
+    assert cli.main(["quantizer-test", "sparsifier:q=0.5", "--dim", "8",
+                     "--trials", "20000"]) == 2
+    lines = [t for t in capsys.readouterr().out.splitlines()
+             if t.startswith("input")]
+    # input 0 is the zero vector, whose error is 0
+    assert ["mse FAIL" in t for t in lines] == [False, True, True, True, True]
 
 
 def fake_moments(mean_err, se_mean):

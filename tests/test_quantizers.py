@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -424,38 +425,68 @@ def test_mc_mean_reconstruction_roundtrip():
         assert np.all(np.abs(mom["mean_err"]) <= 4 * mom["se_mean"] + 1e-12)
 
 
-def test_moments_of_errors_without_spread():
+def test_moments_of_errors_without_spread(monkeypatch):
     # every draw rounds x down to 0, so each error equals x: the standard
     # error is exactly 0, not the cancellation noise of s2 / n - mean^2
     spec = qz.anq(1e10, 0.1, 5)
     x = np.array([-0.05860464, -0.07625285, 0.299279, -0.81500751, 1.01070346])
-    mom = qz.empirical_moments(spec, x, stream(3), 1000, chunk=300)
+    monkeypatch.setattr(qz, "MOMENT_CHUNK_ROWS", 300)
+    mom = qz.empirical_moments(spec, x, stream(3), 1000)
     assert np.allclose(mom["mean_err"], x, rtol=1e-14, atol=0)
     assert np.array_equal(mom["se_mean"], np.zeros(5))
     # a spread survives the shift: one input, two chunk sizes, same moments
     spec = qz.uniform(0.2, 3)
     x = np.array([0.05, -0.31, 0.77])
+    monkeypatch.setattr(qz, "MOMENT_CHUNK_ROWS", 20000)
     one = qz.empirical_moments(spec, x, stream(4), 5000)
-    two = qz.empirical_moments(spec, x, stream(4), 5000, chunk=999)
+    monkeypatch.setattr(qz, "MOMENT_CHUNK_ROWS", 999)
+    two = qz.empirical_moments(spec, x, stream(4), 5000)
     assert np.all(one["se_mean"] > 0)
     assert np.allclose(one["se_mean"], two["se_mean"], rtol=1e-12, atol=0)
     errs = qz.sample_errors(spec, x, stream(4), 5000)
     assert np.allclose(one["se_mean"], errs.std(axis=0) / np.sqrt(5000), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("dim, rows", [(1, 20000), (5, 20000), (64, 20000),
+                                       (65, 19692), (500, 2560),
+                                       (2 * 10**6, 1)])
+def test_moment_chunks_hold_a_bounded_number_of_floats(monkeypatch, dim, rows):
+    # every dim up to 64 keeps 20,000-row chunks, so its draws and moments
+    # stay as they were; longer vectors take fewer rows per chunk
+    seen = []
+    monkeypatch.setattr(qz, "sample_errors",
+                        lambda spec, x, rng, b: seen.append(b) or np.ones((b, dim)))
+    qz.empirical_moments(qz.uniform(0.2, dim), np.zeros(dim), stream(0), 2 * rows + 1)
+    assert seen == [rows, rows, 1]
+
+
+def test_moments_at_dim_500_peak_below_100_mb():
+    # before: one 20,000-row chunk of errors at dim 500, and its squares,
+    # peaked at 420 MB
+    spec = qz.uniform(0.2, 500)
+    x = np.linspace(-1.0, 2.0, 500)
+    tracemalloc.start()
+    try:
+        qz.empirical_moments(spec, x, stream(8), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
 @pytest.mark.parametrize("make", [qz.qsgd, qz.randc, qz.gossip, qz.sparsifier])
-def test_moments_stay_finite_and_exact_at_every_scale(make):
+def test_moments_stay_finite_and_exact_at_every_scale(make, monkeypatch):
     # before: at 2**531 (about 1e160) mse was inf and se_mean NaN; from
     # 2**266 se_mse was NaN, and at 2**-531 it underflowed to 0
     spec = make({"qsgd": 4, "randc": 2}.get(make.__name__, 0.5), 5)
     x = np.linspace(-1.0, 2.0, 5)
-    ref = qz.empirical_moments(spec, x, stream(6), 3000, chunk=1000)
+    monkeypatch.setattr(qz, "MOMENT_CHUNK_ROWS", 1000)
+    ref = qz.empirical_moments(spec, x, stream(6), 3000)
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     for k in (-1070, -1000, -531, -266, 266, 531, 1000):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)   # 2**2000 overflows
-            got = qz.empirical_moments(spec, np.ldexp(x, k), stream(6), 3000,
-                                       chunk=1000)
+            got = qz.empirical_moments(spec, np.ldexp(x, k), stream(6), 3000)
             want = {key: np.ldexp(ref[key], p * k) for key, p in
                     (("mean_err", 1), ("se_mean", 1), ("mse", 2), ("se_mse", 2))}
         assert np.all(np.isfinite(got["mean_err"])), k
