@@ -290,6 +290,21 @@ def _quantize_all(work, chi, streams, iteration, n):
     return bits, delta
 
 
+def _mixing_weights(weights, l):
+    """The weights step mixes for a neighbor table of scalar weights,
+    (n, d), or of l x l blocks, (n, d, l, l). Scalar weights, and blocks
+    that are all diagonal, become (n, d, l) weights per coordinate: A mixes
+    each coordinate of the neighbors' states alone, as A = W kron I_l does
+    and as the least-squares fit over a V kron I_l basis does, whose
+    off-diagonal entries are exactly zero. Blocks with a nonzero
+    off-diagonal entry stay blocks."""
+    if weights.ndim == 2:
+        return np.repeat(weights[:, :, None], l, axis=2)
+    if weights[:, :, ~np.eye(l, dtype=bool)].any():
+        return weights
+    return np.diagonal(weights, axis1=2, axis2=3).copy()
+
+
 @dataclass(frozen=True)
 class _Plan:
     """What stays fixed across the rounds of one stack: count networks of n
@@ -301,7 +316,7 @@ class _Plan:
     gamma: np.ndarray             # (rows, 1)
     work: tuple                   # _schemes of the rows
     index: np.ndarray             # (rows, d) neighbor rows
-    mix: np.ndarray               # weights of index: (rows, d) or (rows, d, l, l)
+    mix: np.ndarray               # weights of index: (rows, d, l) or (rows, d, l, l)
 
 
 def _plan(models, specs, mu, gamma, index, mix, count=1):
@@ -309,7 +324,8 @@ def _plan(models, specs, mu, gamma, index, mix, count=1):
     row's quantizer spec; mu and gamma are one value per network, or one for
     all. index and mix describe one network, as a CombinationMatrix holds
     them, and are tiled over the stack: an (n, d) index of neighbor agents
-    with (n, d) scalar weights or (n, d, l, l) blocks."""
+    with weights as _mixing_weights gives them, (n, d, l) per coordinate or
+    (n, d, l, l) blocks."""
     n = len(models)
 
     def column(values):
@@ -331,12 +347,17 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
     fixed over the rounds comes from plan (_plan): the models, mu and gamma
     columns, the rows grouped by quantizer scheme (_schemes, one
     quantize_batch call per scheme but randc), and the neighbor table that
-    mixes. A = W kron I_l mixes each row's scalar neighbor weights with l
-    multiply-adds per neighbor, else its l x l neighbor blocks with l^2.
-    Audit replicas (state.copies) are laid out as the index; debug=True
-    checks them. streams is the StreamField of the enclosing Monte-Carlo
-    repetition. Returns (per-row message bits, per-row ||chi||^2); bits are
-    NaN where a level index left the exact range.
+    mixes. Per-coordinate weights, (rows, d, l), mix each coordinate of the
+    neighbors' states alone, with l multiply-adds per neighbor; l x l
+    neighbor blocks, (rows, d, l, l), kept only where _mixing_weights finds
+    a nonzero off-diagonal entry, take l^2. The draws come from streams,
+    the StreamField of the enclosing Monte-Carlo repetition: each agent's
+    GRADIENT cell through stream(), the QUANTIZE cells of the agents that
+    read them from the array Philox of StreamField.uniforms, and each randc
+    row's through stream(). Audit replicas (state.copies) are laid out as
+    the index; debug=True checks them. Returns (per-row message bits,
+    per-row ||chi||^2); bits are NaN where a level index left the exact
+    range.
     """
     psi = _draw_psi(state.w, plan.arrays, plan.mu, streams, iteration)
     chi = psi - state.phi
@@ -350,8 +371,8 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
         if debug:
             state.check_consistency(plan.index)
         heard = state.copies
-    if plan.mix.ndim == 2:
-        mixed = np.einsum("km,kmt->kt", plan.mix, heard)
+    if plan.mix.ndim == 3:
+        mixed = np.einsum("kmt,kmt->kt", plan.mix, heard)
     else:
         mixed = np.einsum("kmst,kmt->ks", plan.mix, heard)
     state.w = (1.0 - plan.gamma) * state.phi + plan.gamma * mixed
@@ -511,8 +532,12 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     randomness from counter-based streams keyed by (repetition, iteration,
     agent), and averages MSD, message bits, and innovation energy across
     repetitions. MSD(i) = (1/N) sum_k ||w_opt_k - w_k,i||^2. Each round
-    mixes only each agent's neighbors: with the scalar weights W when comb
-    is factored (A = W kron I_l), else with the l x l blocks of A.
+    mixes only each agent's neighbors, per coordinate when A mixes each
+    coordinate alone: a factored comb (A = W kron I_l), and blocks that are
+    all diagonal, as the least-squares fit over a V kron I_l basis gives.
+    Blocks with a nonzero off-diagonal entry mix as l x l blocks. comb must
+    be built for the models' agent count and block size, as basis must
+    (else ValueError).
     debug=True is the audit mode: every agent keeps replicas of its
     neighbors' states in the neighbor table, mixes from them, and they are
     checked against the owners' states every 100 iterations.
@@ -530,11 +555,17 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     n, l = _check_batch(configs, models)
     if basis.u.shape[0] != n * l:
         raise ValueError("basis ambient dimension does not match the models")
+    if comb.topology.n != n:
+        raise ValueError(f"combination matrix has {comb.topology.n} agents, "
+                         f"the models {n}")
+    if any(d != l for d in comb.block_dims):
+        raise ValueError(f"combination matrix has blocks of size "
+                         f"{comb.block_dims[0]}, the models dimension {l}")
     covs = [m.sigma_u_sq for m in models]
     w_star = np.concatenate([m.w_star for m in models])
     w_opt = compute_wopt(basis, covs, w_star).reshape(n, l)
-    results = _monte_carlo(configs, models, w_opt, comb.index, comb.weights,
-                           debug)
+    results = _monte_carlo(configs, models, w_opt, comb.index,
+                           _mixing_weights(comb.weights, l), debug)
     return results[0] if isinstance(config, RunConfig) else results
 
 
@@ -559,8 +590,9 @@ def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
                       weights=weights)
     width = max(1, int(np.count_nonzero(a_scalar, axis=1).max()))
     index = np.argsort(a_scalar == 0, axis=1, kind="stable")[:, :width]
+    table = np.take_along_axis(a_scalar, index, axis=1)
     return _monte_carlo([config], models, np.tile(wbar, (n, 1)), index,
-                        np.take_along_axis(a_scalar, index, axis=1))[0]
+                        _mixing_weights(table, l))[0]
 
 
 def save_metrics_csv(path, result: RunResult, version, seed, per_agent=False):

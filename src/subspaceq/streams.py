@@ -25,6 +25,22 @@ _DOMAIN_RUN = 1
 
 __all__ = ["GRADIENT", "QUANTIZE", "StreamField", "setup_rng"]
 
+# Philox4x64-10 as numpy's philox.h computes it (Salmon et al., "Parallel
+# random numbers: as easy as 1, 2, 3", SC 2011): the multipliers of counter
+# words 0 and 2, split into 32-bit halves for the high words of their
+# products, and the Weyl increments of the two key words between rounds
+_MULTIPLIERS = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                        dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_MUL_LO, _MUL_HI = _MULTIPLIERS & _LOW32, _MULTIPLIERS >> _SHIFT32
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_ROUNDS = 10
+
+# Philox blocks of four words that one uniforms() chunk computes at most;
+# its transient arrays stay under about 1 MB
+_CHUNK_BLOCKS = 4096
+
 
 class StreamField:
     """Lattice of independent generators for one Monte-Carlo run.
@@ -38,8 +54,12 @@ class StreamField:
     therefore valid only until the next stream() call on the same field;
     draw from it at once and do not keep it.
 
-    normals() and uniforms() fill one preallocated row per agent with a
-    round's GRADIENT or QUANTIZE draws, each cell reset through stream().
+    normals() fills one preallocated row per agent with a round's GRADIENT
+    normals, each cell reset through stream(): numpy's ziggurat reads its
+    words one by one. uniforms() fills them with QUANTIZE uniforms computed
+    without the generator: one array Philox4x64-10 serves a chunk of
+    consecutive rounds for all its agents at once, and later calls in that
+    chunk read what it kept.
     """
 
     def __init__(self, master_seed: int, run: int = 0):
@@ -59,6 +79,9 @@ class StreamField:
             "has_uint32": 0,
             "uinteger": 0,
         }
+        self._schedule = _key_schedule(self._key)
+        # the last uniforms() chunk: ((agents, width), first round, draws)
+        self._chunk = (None, 0, ())
 
     def stream(self, iteration: int, agent: int, purpose: int) -> np.random.Generator:
         self._cell["counter"] = [0, purpose, agent, iteration]
@@ -75,12 +98,85 @@ class StreamField:
 
     def uniforms(self, iteration: int, agents, out: np.ndarray) -> np.ndarray:
         """Fill out[k], for each agent k in agents, with the uniforms on
-        [0, 1) of cell (iteration, k, QUANTIZE); other rows stay as they
-        are."""
-        stream = self.stream
-        for k in agents:
-            stream(iteration, k, QUANTIZE).random(out=out[k])
+        [0, 1) of cell (iteration, k, QUANTIZE), those that
+        stream(iteration, k, QUANTIZE).random(width) draws; other rows stay
+        as they are, and an empty list of agents computes nothing.
+
+        The draws are computed a chunk of consecutive rounds at a time:
+        _CHUNK_BLOCKS over the Philox blocks of one round, starting at a
+        multiple of that length. A call with the agents and width of the
+        last chunk and an iteration inside it reads that chunk; any other
+        call computes its own."""
+        agents = list(agents)
+        if not agents:
+            return out
+        width = out.shape[1]
+        held, first, draws = self._chunk
+        if held != (agents, width) or not 0 <= iteration - first < len(draws):
+            rounds = max(1, _CHUNK_BLOCKS // (len(agents) * -(-width // 4)))
+            first = iteration - iteration % rounds
+            draws = self._draw(first, rounds, agents, width)
+            self._chunk = ((agents, width), first, draws)
+        out[agents] = draws[iteration - first]
         return out
+
+    def _draw(self, first, rounds, agents, width):
+        """The (rounds, agents, width) QUANTIZE uniforms of rounds first,
+        first + 1, ... for agents. Block j = 1, 2, ... of cell (i, k) is the
+        Philox of counter [j, QUANTIZE, k, i], as the generator's counter
+        increments before each block; its four words are the cell's next
+        four draws, each the double (w >> 11) * 2**-53."""
+        blocks = -(-width // 4)
+        shape = (2, rounds, len(agents), blocks)
+        even = np.empty(shape, dtype=np.uint64)     # counter words 0 and 2
+        odd = np.empty(shape, dtype=np.uint64)      # counter words 1 and 3
+        even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+        even[1] = np.array(agents, dtype=np.uint64)[:, None]
+        odd[0] = QUANTIZE
+        odd[1] = np.arange(first, first + rounds, dtype=np.uint64)[:, None, None]
+        even, odd = _philox(self._schedule, even.reshape(2, -1),
+                            odd.reshape(2, -1))
+        words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+        words = words.reshape(rounds, len(agents), 4 * blocks)[..., :width]
+        return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def _key_schedule(key) -> list:
+    """The key of each Philox round as a (2, 1) uint64 column, the Weyl
+    increments added in Python ints modulo 2**64."""
+    words = [int(k) for k in key]
+    schedule = []
+    for _ in range(_ROUNDS):
+        schedule.append(np.array(words, dtype=np.uint64)[:, None])
+        words = [(w + inc) % 2**64 for w, inc in zip(words, _WEYL)]
+    return schedule
+
+
+def _philox(schedule, even, odd):
+    """Philox4x64 of the blocks whose counter words 0 and 2 are the rows of
+    even and words 1 and 3 those of odd, (2, N) uint64 arrays; returns the
+    output words in the same layout, after one round per key of schedule
+    (_key_schedule). Each round multiplies words 0 and 2 by their constants
+    into 128-bit products, the high halves from 32-bit partial products;
+    uint64 arithmetic wraps, which gives the low halves."""
+    for key in schedule:
+        lo, hi = even & _LOW32, even >> _SHIFT32
+        carry = lo * _MUL_LO
+        carry >>= _SHIFT32
+        carry += hi * _MUL_LO
+        middle = carry & _LOW32
+        carry >>= _SHIFT32
+        middle += lo * _MUL_HI
+        middle >>= _SHIFT32
+        hi *= _MUL_HI
+        hi += carry
+        hi += middle
+        low = even * _MULTIPLIERS
+        # words 0, 2 <- high halves of words 2, 0 ^ words 1, 3 ^ key;
+        # words 1, 3 <- low halves of words 2, 0
+        even = hi[::-1] ^ odd ^ key
+        odd = low[::-1]
+    return even, odd
 
 
 def setup_rng(master_seed: int, label: int = 0) -> np.random.Generator:

@@ -123,7 +123,8 @@ def test_a_drifted_replica_raises_state_desync(data):
     specs = RunConfig(mu=0.05, gamma=0.8, iterations=1,
                       quantizer=quantizer_for(data.draw, n, l)).specs_for(n)
     index = comb.index
-    plan = learning._plan(models, specs, 0.05, 0.8, index, comb.weights)
+    plan = learning._plan(models, specs, 0.05, 0.8, index,
+                          learning._mixing_weights(comb.weights, l))
     state = NetworkState(n, l, width=index.shape[1])
     streams = StreamField(data.draw(st.integers(0, 99)), 0)
     rounds = data.draw(st.integers(1, 5))
@@ -143,6 +144,75 @@ def test_a_drifted_replica_raises_state_desync(data):
     state.copies[r, m, t] = np.nan
     with pytest.raises(learning.StateDesync):
         learning.step(state, plan, streams, rounds, debug=True)
+
+
+# ---------------------------------------------------------------------------
+# per-coordinate mixing of the least-squares fit
+
+@st.composite
+def smooth_fits(draw):
+    """(models, basis, comb): the subspace-lsq fit over a subspace_smooth
+    basis on a small-world graph (ring lattice and random shortcuts) or a
+    ring with random chords, of at most 12 agents."""
+    n = draw(st.integers(4, 12))
+    l = draw(st.sampled_from([1, 2, 3, 5]))
+    ring = [(k, (k + 1) % n) for k in range(n)]
+    if draw(st.booleans()):
+        lattice = [(k, (k + 2) % n) for k in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        extra = lattice + draw(st.lists(st.sampled_from(pairs), max_size=3))
+    else:
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              min_size=1, max_size=n // 2))
+    top = graphs.build_topology(n, [(i + 1, j + 1) for i, j in ring + extra])
+    basis = graphs.subspace_smooth(top, draw(st.integers(1, 2)), l, weight=0.1)
+    try:
+        comb = graphs.build_combination(top, basis, mode="subspace-lsq")
+    except (graphs.InfeasibleConstraints, graphs.SpectralViolation):
+        reject()    # the pattern admits no contracting fit
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    models = [DataModel(rng.uniform(1.5, 2.5), rng.uniform(0.1, 0.2),
+                        rng.normal(0.4, 1.0, l)) for _ in range(n)]
+    return models, basis, comb
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(smooth_fits(), st.data())
+def test_smooth_fits_mix_per_coordinate_bitwise(fit, data):
+    models, basis, comb = fit
+    n, l = len(models), models[0].dim
+    # every off-diagonal entry of every fitted block is exactly zero
+    off = ~np.eye(l, dtype=bool)
+    assert not comb.weights[:, :, off].any()
+    per_coordinate = learning._mixing_weights(comb.weights, l)
+    assert per_coordinate.shape == comb.weights.shape[:3]
+
+    # runs mixing the (n, d, l) table and the (n, d, l, l) blocks agree
+    config = RunConfig(mu=data.draw(st.sampled_from([0.01, 0.05, 0.2])),
+                       gamma=data.draw(st.sampled_from([0.5, 0.9, 1.0])),
+                       iterations=data.draw(st.integers(1, 40)),
+                       runs=data.draw(st.integers(1, 2)),
+                       seed=data.draw(st.integers(0, 99)),
+                       quantizer=quantizer_for(data.draw, n, l),
+                       on_divergence="flag")
+    debug = data.draw(st.booleans())
+    got = learning.run(config, models, basis, comb, debug=debug)
+    with pytest.MonkeyPatch.context() as blocks:
+        blocks.setattr(learning, "_mixing_weights", lambda weights, l: weights)
+        want = learning.run(config, models, basis, comb, debug=debug)
+    for field in ("msd", "bits", "chi_sq"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert (got.diverged_at, got.runs_used) == (want.diverged_at, want.runs_used)
+
+    # one nonzero off-diagonal entry keeps the matrix on the block path
+    if l > 1:
+        a = comb.a
+        k = data.draw(st.integers(0, n - 1))
+        a[k * l, k * l + 1] = 1e-3
+        skewed = graphs.CombinationMatrix.from_dense(a, comb.topology,
+                                                     comb.block_dims)
+        assert learning._mixing_weights(skewed.weights, l) is skewed.weights
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,8 @@ CASES.update({
     "lsq-anq": lambda: _lsq_run(PAIRS["anq"][0]),
     "lsq-mixed": lambda: _lsq_run(_cycle([PAIRS["uniform"][0], PAIRS["qsgd"][0],
                                           PAIRS["gossip"][0]], 7), n=7),
+    # 1,500 rounds span three chunks of StreamField.uniforms at six agents
+    "lsq-uniform-chunks": lambda: _lsq_run(PAIRS["uniform"][0], iterations=1500),
     "diffusion-uniform": lambda: _diffusion(PAIRS["uniform"][0]),
     "diffusion-cycled": lambda: _diffusion(_cycle(PAIRS["randc"] + PAIRS["anq"], 6)),
     "debug-anq": lambda: _consensus_run(PAIRS["anq"][0], debug=True),
@@ -207,6 +209,11 @@ GOLDEN = {
         'msd': 'c0f77aeb8e7cb3df7b7a78962f028464ad30953fc3133085edffc571396f2230',
         'bits': '9a2d89f6d41b8d8e0d32cdb0229b2c522a41e3d3d8cedd4c0077cd873967078d',
         'chi_sq': '5aeaa4d5d48400cef48f3c51c78feadca096ac67d0ded97301fdc1c73ee03786',
+    },
+    'lsq-uniform-chunks': {
+        'msd': '984771792aa18ed3c0a6e72406c2bb333b14d122873832579fddf17e947a6399',
+        'bits': '7caca64681e1e155d5aa48b4e984b0251835498d347b87e8f35365863b88b6bf',
+        'chi_sq': '5f798a41c80f10f0ed8cd63dbaa2f42104a026ce17b10b7a96e682de6d650050',
     },
     'mixed-all-kinds': {
         'msd': 'ff593b275372391390a8426c13406aa1cf10a1cf3f7a8cd266dd61826b725177',
@@ -449,10 +456,12 @@ def failing_cases() -> list:
 # The cases whose digests follow OpenBLAS's kernels, by cause:
 # - cycled-qsgd, shared-qsgd, mixed-all-kinds: qsgd's row norm is an
 #   OpenBLAS ddot, whose summation order depends on the kernel;
-# - lsq-anq, lsq-mixed, debug-lsq, flag-diverged-lsq, sweep-lsq: the
-#   least-squares combination fit goes through SuperLU and LAPACK.
+# - lsq-anq, lsq-mixed, lsq-uniform-chunks, debug-lsq, flag-diverged-lsq,
+#   sweep-lsq: the least-squares combination fit goes through SuperLU and
+#   LAPACK.
 BLAS_DEPENDENT = {"cycled-qsgd", "shared-qsgd", "mixed-all-kinds", "lsq-anq",
-                  "lsq-mixed", "debug-lsq", "flag-diverged-lsq", "sweep-lsq"}
+                  "lsq-mixed", "lsq-uniform-chunks", "debug-lsq",
+                  "flag-diverged-lsq", "sweep-lsq"}
 
 
 # The cases whose digests follow numpy's SIMD dispatch: anq's compander

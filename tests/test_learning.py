@@ -2,11 +2,12 @@
 
 import pickle
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from subspaceq import graphs, learning, quantizers
+from subspaceq import graphs, learning, quantizers, streams
 from subspaceq.learning import DataModel, NetworkState, RunConfig
 from subspaceq.streams import GRADIENT, StreamField
 
@@ -136,6 +137,20 @@ def test_run_rejects_mismatched_shapes(entry):
     bad = models[:3] + [DataModel(2.0, 0.1, np.zeros(3))]
     with pytest.raises(ValueError, match="block dimension"):
         go(cfg, bad)
+
+
+def test_run_names_a_combination_matrix_of_another_size():
+    # a factored matrix mixes every coordinate alike, so one built for
+    # l = 2 would otherwise run models of dimension 3
+    top, _, comb = make_network(5, 2, mode="consensus-metropolis")
+    cfg = RunConfig(mu=0.01, gamma=0.9, iterations=5,
+                    quantizer=quantizers.identity(3))
+    with pytest.raises(ValueError, match="blocks of size 2, the models dimension 3"):
+        learning.run(cfg, make_models(5, 3), graphs.subspace_consensus(5, 3), comb)
+    cfg = RunConfig(mu=0.01, gamma=0.9, iterations=5,
+                    quantizer=quantizers.identity(2))
+    with pytest.raises(ValueError, match="has 5 agents, the models 6"):
+        learning.run(cfg, make_models(6, 2), graphs.subspace_consensus(6, 2), comb)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +355,14 @@ def test_neighbor_combine_equals_dense_einsum_bitwise(mode):
         assert np.all(mix[k, degrees[k]:] == 0.0)
         held = comb.matrix[k, real] if comb.factored else blocks[k, real]
         assert np.array_equal(mix[k, :degrees[k]], held)
+    # both mix per coordinate, as step does
+    weights = learning._mixing_weights(mix, l)
+    assert weights.shape == (n, index.shape[1], l)
     rng = np.random.default_rng(0)
     for _ in range(100):
         # 16 decades of magnitude
         phi = rng.standard_normal((n, l)) * 10.0 ** rng.uniform(-8, 8)
-        if comb.factored:
-            got = np.einsum("km,kmt->kt", mix, phi[index])
-        else:
-            got = np.einsum("kmst,kmt->ks", mix, phi[index])
+        got = np.einsum("kmt,kmt->kt", weights, phi[index])
         assert np.array_equal(got, _dense_combine(comb, phi))
 
 
@@ -676,7 +691,7 @@ def test_batched_configs_equal_separate_runs_bitwise():
 
 
 def test_factored_run_equals_dense_run_bitwise(monkeypatch):
-    # the scalar-weight combine of A = W kron I_l against the l x l block
+    # the per-coordinate combine of A = W kron I_l against the l x l block
     # combine of the same matrix held dense
     top, basis, comb = _batch_network()
     dense = graphs.CombinationMatrix.from_dense(comb.a, comb.topology,
@@ -687,8 +702,10 @@ def test_factored_run_equals_dense_run_bitwise(monkeypatch):
     # 1 and 3 pass DIVERGENCE_LIMIT, 6 leaves the exact range in round 0
     stacked = [grid[k] for k in (0, 1, 3, 6, 10)]
     cases = [(grid[0], False), (stacked, False), (stacked[:3], True)]
-    want = [learning.run(cfg, models, basis, dense, debug=debug)
-            for cfg, debug in cases]
+    with monkeypatch.context() as blocks:
+        blocks.setattr(learning, "_mixing_weights", lambda weights, l: weights)
+        want = [learning.run(cfg, models, basis, dense, debug=debug)
+                for cfg, debug in cases]
 
     def dense_read(self):
         raise AssertionError("the factored run read the dense matrix")
@@ -704,9 +721,13 @@ def test_factored_run_equals_dense_run_bitwise(monkeypatch):
 
 
 def test_batch_draws_each_cell_once(monkeypatch):
+    # each agent's GRADIENT cell is one stream() call a round, its
+    # QUANTIZE cell one cell of StreamField.uniforms' array Philox, both
+    # once a repetition for all five configs
     top, basis, comb = _batch_network()
-    cells, steps = [], []
-    real_stream, real_step = StreamField.stream, learning.step
+    cells, steps, generated = [], [], Counter()
+    real_stream, real_step, real_philox = (StreamField.stream, learning.step,
+                                           streams._philox)
 
     def counting_stream(self, *args):
         cells.append(args)
@@ -716,8 +737,16 @@ def test_batch_draws_each_cell_once(monkeypatch):
         steps.append(1)
         return real_step(*args, **kwargs)
 
+    def counting_philox(schedule, even, odd):
+        first = even[0] == 1        # a cell's first block
+        key = tuple(schedule[0].ravel().tolist())
+        generated.update((key, i, k) for i, k in
+                         zip(odd[1][first].tolist(), even[1][first].tolist()))
+        return real_philox(schedule, even, odd)
+
     monkeypatch.setattr(StreamField, "stream", counting_stream)
     monkeypatch.setattr(learning, "step", counting_step)
+    monkeypatch.setattr(streams, "_philox", counting_philox)
     # the selection schemes cycled over agents read the same uniforms
     cycled = [quantizers.gossip(0.5, 3), quantizers.sparsifier([0.2, 0.7, 1.0], 3),
               quantizers.qsgd(3, 3)] * 2
@@ -727,7 +756,13 @@ def test_batch_draws_each_cell_once(monkeypatch):
                          quantizers.identity(3), cycled, quantizers.uniform(0.2, 3))]
     learning.run(configs, make_models(6, 3), basis, comb)
     assert len(steps) == 2 * 30
-    assert len(cells) == len(set(cells)) * 2 == 2 * 2 * 30 * 6
+    assert len(cells) == len(set(cells)) * 2 == 2 * 30 * 6
+    assert {purpose for _, _, purpose in cells} == {GRADIENT}
+    keys = {key for key, _, _ in generated}
+    assert len(keys) == 2
+    # a chunk may run past the last round; no cell of a round read twice
+    assert {c: m for c, m in generated.items() if c[1] < 30} == {
+        (key, i, k): 1 for key in keys for i in range(30) for k in range(6)}
 
 
 def test_batch_raises_the_first_diverging_config():

@@ -1,10 +1,10 @@
 """Tests for the counter-based stream lattice."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subspaceq.streams import GRADIENT, QUANTIZE, StreamField
+from subspaceq.streams import _CHUNK_BLOCKS, GRADIENT, QUANTIZE, StreamField
 
 L = 5
 
@@ -65,28 +65,57 @@ ARRAY_CALLS = {
 }
 
 
+def chunk_rounds(agents, width):
+    """The rounds one uniforms() chunk spans for these agents and width."""
+    return max(1, _CHUNK_BLOCKS // (max(1, len(agents)) * -(-width // 4)))
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), run=st.integers(0, 3),
-       iteration=st.one_of(st.integers(0, 9), st.integers(0, 2**40)),
+       chunk=st.one_of(st.integers(0, 3), st.integers(0, 2**30)),
        agents=st.lists(st.integers(0, 40), unique=True, max_size=12),
-       width=st.integers(1, 7), call=st.sampled_from(sorted(ARRAY_CALLS)),
-       partial=st.booleans(), cell=st.tuples(st.integers(0, 2**40),
-                                             st.integers(0, 40)))
-def test_array_calls_equal_fresh_generators(seed, run, iteration, agents, width,
-                                            call, partial, cell):
-    # agents come in any order; every row but theirs stays as it was
+       shapes=st.lists(st.tuples(st.integers(1, 41), st.integers(1, 9)),
+                       min_size=2, max_size=2),
+       jumps=st.lists(st.tuples(st.integers(0, 1), st.integers(-3, 3)),
+                      max_size=5),
+       call=st.sampled_from(sorted(ARRAY_CALLS)), partial=st.booleans(),
+       cell=st.tuples(st.integers(0, 2**40), st.integers(0, 40)))
+# a third Philox block at widths 8 and 9; no agents
+@example(seed=1, run=0, chunk=0, agents=[0, 5, 2], shapes=[(6, 8), (6, 9)],
+         jumps=[(1, 1), (0, -1)], call="uniforms", partial=True, cell=(3, 1))
+@example(seed=2, run=1, chunk=1, agents=[], shapes=[(4, 5), (7, 3)],
+         jumps=[(1, 0)], call="uniforms", partial=False, cell=(0, 0))
+# fewer agents of the same width, in a round the last chunk holds
+@example(seed=3, run=2, chunk=0, agents=[0, 5, 2, 1], shapes=[(6, 5), (3, 5)],
+         jumps=[(1, -3)], call="uniforms", partial=False, cell=(0, 0))
+def test_array_calls_equal_fresh_generators(seed, run, chunk, agents, shapes,
+                                            jumps, call, partial, cell):
+    # one field serves every call: the rounds around a chunk edge in order,
+    # then rounds near it in any order, each call on one of two (rows,
+    # width) shapes with the agents that fit it, in any order; every row
+    # but theirs stays as it was
     field = StreamField(seed, run=run)
     purpose, draw = ARRAY_CALLS[call]
     if partial:
         # a half word left by a cell's permutation must not reach the call
         field.stream(*cell, QUANTIZE).permutation(L)
-    out = np.full((41, width), np.nan)
-    assert getattr(field, call)(iteration, agents, out) is out
-    for k in range(41):
-        want = (draw(fresh(field, iteration, k, purpose), width) if k in agents
-                else np.full(width, np.nan))
-        assert np.array_equal(out[k], want, equal_nan=True), k
-    # nor may what the call leaves reach a later cell: permutation consumes
+
+    def visit(shape, offset):
+        rows, width = shapes[shape]
+        readers = [k for k in agents if k < rows]
+        edge = (chunk + 1) * chunk_rounds(readers, width)
+        return max(0, edge + offset), readers, rows, width
+
+    visits = [visit(0, offset) for offset in (-2, -1, 0, 1)]
+    visits += [visit(shape, offset) for shape, offset in jumps]
+    for iteration, readers, rows, width in visits:
+        out = np.full((rows, width), np.nan)
+        assert getattr(field, call)(iteration, readers, out) is out
+        for k in range(rows):
+            want = (draw(fresh(field, iteration, k, purpose), width)
+                    if k in readers else np.full(width, np.nan))
+            assert np.array_equal(out[k], want, equal_nan=True), (iteration, k)
+    # nor may what the calls leave reach a later cell: permutation consumes
     # 32-bit halves, random() whole words
     g = field.stream(*cell, QUANTIZE)
     got = (g.permutation(L), g.random())

@@ -7,12 +7,13 @@ the one traced step.
 """
 
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subspaceq import graphs, learning, quantizers
+from subspaceq import graphs, learning, quantizers, streams
 from subspaceq.learning import DataModel, RunConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -49,20 +50,42 @@ def test_every_round_is_one_traced_step(tracing, entry):
     assert tracer.layers()["learning.step"][0] == runs * iterations
 
 
-def test_every_stream_cell_is_one_traced_stream_call(tracing):
-    # two lanes per agent and round: the GRADIENT cell, and the QUANTIZE
-    # cell that every scheme but identity reads, randc per row and the
-    # others through StreamField.uniforms
+def test_every_stream_cell_is_one_traced_stream_call(tracing, monkeypatch):
+    # stream() serves each agent's GRADIENT cell of a round and each randc
+    # row's QUANTIZE cell, one traced call apiece; the QUANTIZE cells of the
+    # other schemes but identity come from StreamField.uniforms' array
+    # Philox, each generated once a repetition for all the stacked configs
     n, l, runs, iterations = 4, 2, 2, 3
     top = graphs.build_topology(n, 1.0, seed=1)
     basis = graphs.subspace_consensus(n, l)
     comb = graphs.build_combination(top, basis, mode="consensus-metropolis")
     models = [DataModel(2.0, 0.1, np.full(l, 0.5)) for _ in range(n)]
-    mix = [quantizers.randc(1, l), quantizers.uniform(0.1, l),
-           quantizers.gossip(0.5, l), quantizers.qsgd(4, l)]
-    cfg = RunConfig(mu=0.05, gamma=0.8, iterations=iterations, runs=runs,
-                    quantizer=mix)
+    mixes = ([quantizers.randc(1, l), quantizers.uniform(0.1, l),
+              quantizers.gossip(0.5, l), quantizers.qsgd(4, l)],
+             [quantizers.identity(l), quantizers.uniform(0.2, l),
+              quantizers.randc(2, l), quantizers.identity(l)])
+    configs = [RunConfig(mu=0.05, gamma=0.8, iterations=iterations, runs=runs,
+                         quantizer=mix) for mix in mixes]
+    generated = Counter()
+    philox = streams._philox
+
+    def recording(schedule, even, odd):
+        # a cell's first block has counter word 0 equal to 1
+        first = even[0] == 1
+        key = tuple(schedule[0].ravel().tolist())
+        generated.update((key, i, k) for i, k in
+                         zip(odd[1][first].tolist(), even[1][first].tolist()))
+        return philox(schedule, even, odd)
+
+    monkeypatch.setattr(streams, "_philox", recording)
     tracer = tracing.Tracer("contract", 0)
     with tracer.patched():
-        learning.run(cfg, models, basis, comb)
-    assert tracer.layers()["streams.stream"][0] == 2 * runs * iterations * n
+        learning.run(configs, models, basis, comb)
+    randc_rows = 2
+    assert tracer.layers()["streams.stream"][0] == runs * iterations * (n + randc_rows)
+    keys = {key for key, _, _ in generated}
+    read = Counter({(key, i, k): 1 for key in keys for i in range(iterations)
+                    for k in (1, 2, 3)})
+    assert len(keys) == runs
+    # a chunk may run past the last round; no cell of a round read twice
+    assert Counter({c: m for c, m in generated.items() if c[1] < iterations}) == read
