@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quantizers
 from .graphs import CombinationMatrix, SubspaceBasis, compute_wopt
-from .streams import QUANTIZE, StreamField
+from .streams import GRADIENT, QUANTIZE, StreamField
 
 DIVERGENCE_LIMIT = 1e12
 STEADY_WINDOW = 500
@@ -210,11 +210,11 @@ def _draw_psi(w, arrays, mu, streams, iteration):
     w[k] - mu * sample_gradient(models[k], w[k], stream) to rounding order.
     w may stack copies of the network as consecutive blocks of n rows, with
     mu a scalar or a matching column; each agent's cell is drawn once, all
-    in one StreamField.normals call, and its u and d broadcast over the
+    read from one StreamField.draws call, and its u and d broadcast over the
     copies."""
     sqrt_su, sqrt_sv, w_star = arrays
     n, l = w_star.shape
-    z = streams.normals(iteration, range(n), np.empty((n, l + 1)))
+    z = streams.draws(GRADIENT, iteration, range(n), l + 1)
     u = sqrt_su * z[:, :l]
     d = np.einsum("kl,kl->k", u, w_star) + sqrt_sv * z[:, l]
     blocks = w.reshape(-1, n, l)
@@ -224,25 +224,36 @@ def _draw_psi(w, arrays, mu, streams, iteration):
     return (blocks + mu * u * err[..., None]).reshape(w.shape)
 
 
+def _span(index):
+    """An integer index array as a slice when it counts up by one from its
+    first entry, which reads and writes without a gather."""
+    if np.array_equal(index, np.arange(index[0], index[0] + index.size)):
+        return slice(int(index[0]), int(index[0]) + index.size)
+    return index
+
+
 def _schemes(specs, n):
     """The quantize work of a stack whose row r is agent r % n's, quantized
-    by specs[r]: (kind, rows, their agents, their specs) for each scheme
-    present, the specs but randc's as a quantizers._SpecRows with its
-    parameter columns; and the agents whose QUANTIZE uniforms they read.
-    The rows of a scheme but randc that fill one range are a slice, which
-    reads and writes them without a gather."""
+    by specs[r]: (kind, rows, source, their specs) for each scheme present,
+    the specs but randc's as a quantizers._SpecRows with its parameter
+    columns; and the agents whose QUANTIZE uniforms the stack reads, the
+    readers. source is the rows' agents for randc, None for identity, and
+    for the other schemes the rows' positions among the readers. Rows and
+    positions that fill one range in order are a slice (_span)."""
     kinds = np.array([s.kind for s in specs])
+    readers = np.unique(
+        np.flatnonzero(~np.isin(kinds, ("identity", "randc"))) % n)
     schemes = []
     for kind in sorted(set(kinds), key=quantizers.KINDS.index):
         rows = np.flatnonzero(kinds == kind)
         chosen = [specs[r] for r in rows]
-        at = rows
-        if kind != "randc" and rows[-1] - rows[0] == rows.size - 1:
-            at = slice(int(rows[0]), int(rows[-1]) + 1)
-        schemes.append((kind, at, rows % n, chosen if kind == "randc"
-                        else quantizers._SpecRows(chosen)))
-    readers = np.flatnonzero(~np.isin(kinds, ("identity", "randc"))) % n
-    return schemes, np.unique(readers).tolist()
+        if kind == "randc":
+            schemes.append((kind, rows, rows % n, chosen))
+            continue
+        source = (None if kind == "identity"
+                  else _span(np.searchsorted(readers, rows % n)))
+        schemes.append((kind, _span(rows), source, quantizers._SpecRows(chosen)))
+    return schemes, readers.tolist()
 
 
 def _flagged_batch(specs, xs, us):
@@ -259,23 +270,24 @@ def _flagged_batch(specs, xs, us):
         return costs, recon
 
 
-def _quantize_all(work, chi, streams, iteration, n):
+def _quantize_all(work, chi, streams, iteration):
     """Broadcast phase: quantize every row's innovation against its agent's
     stream, bit-identical to quantizing agent by agent. work is _schemes of
-    the stack. Each agent's uniforms are drawn once for all its rows, all in
-    one StreamField.uniforms call; each scheme but randc is one
-    quantize_batch call, and randc rows quantize one by one. A row whose
-    level index would leave the exact range gets NaN; a randc row that is
-    not finite is carried unquantized at its message cost, so that the
-    round diverges as a non-finite row of any other scheme does."""
+    the stack. Each reader's uniforms are drawn once for all its rows, all
+    read from one StreamField.draws call, and each scheme takes its rows of
+    them at once; each scheme but randc is one quantize_batch call, and
+    randc rows quantize one by one. A row whose level index would leave the
+    exact range gets NaN; a randc row that is not finite is carried
+    unquantized at its message cost, so that the round diverges as a
+    non-finite row of any other scheme does."""
     schemes, readers = work
     bits = np.empty(chi.shape[0])
     delta = np.empty(chi.shape)
-    us = streams.uniforms(iteration, readers, np.empty((n, chi.shape[1])))
-    for kind, rows, agents, specs in schemes:
+    us = streams.draws(QUANTIZE, iteration, readers, chi.shape[1])
+    for kind, rows, source, specs in schemes:
         if kind == "randc":
             finite = np.isfinite(chi[rows]).all(axis=1).tolist()
-            for r, k, spec, ok in zip(rows.tolist(), agents.tolist(), specs,
+            for r, k, spec, ok in zip(rows.tolist(), source.tolist(), specs,
                                       finite):
                 if not ok:      # carried as it is, for the |w| test to flag
                     bits[r], delta[r] = quantizers._randc_cost(spec), chi[r]
@@ -284,9 +296,9 @@ def _quantize_all(work, chi, streams, iteration, n):
                                           streams.stream(iteration, k, QUANTIZE))
                 bits[r] = msg.bit_cost
                 delta[r] = quantizers.reconstruct(spec, msg)
-        else:   # identity ignores the (undrawn) uniforms of its agents
+        else:   # identity takes no uniforms
             bits[rows], delta[rows] = _flagged_batch(
-                specs, chi[rows], np.take(us, agents, axis=0))
+                specs, chi[rows], None if source is None else us[source])
     return bits, delta
 
 
@@ -310,7 +322,6 @@ class _Plan:
     """What stays fixed across the rounds of one stack: count networks of n
     agents as consecutive blocks of n rows."""
 
-    n: int
     arrays: tuple                 # _model_arrays(models)
     mu: np.ndarray                # (rows, 1)
     gamma: np.ndarray             # (rows, 1)
@@ -332,7 +343,7 @@ def _plan(models, specs, mu, gamma, index, mix, count=1):
         return np.repeat(np.broadcast_to(values, (count,)), n)[:, None]
 
     index = (index + n * np.arange(count)[:, None, None]).reshape(count * n, -1)
-    return _Plan(n, _model_arrays(models), column(mu), column(gamma),
+    return _Plan(_model_arrays(models), column(mu), column(gamma),
                  _schemes(list(specs), n), index, np.concatenate([mix] * count))
 
 
@@ -352,16 +363,16 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
     neighbor blocks, (rows, d, l, l), kept only where _mixing_weights finds
     a nonzero off-diagonal entry, take l^2. The draws come from streams,
     the StreamField of the enclosing Monte-Carlo repetition: each agent's
-    GRADIENT cell through stream(), the QUANTIZE cells of the agents that
-    read them from the array Philox of StreamField.uniforms, and each randc
-    row's through stream(). Audit replicas (state.copies) are laid out as
+    GRADIENT cell and the QUANTIZE cells of the agents that read them from
+    the array Philox of StreamField.draws, and each randc row's through
+    stream(). Audit replicas (state.copies) are laid out as
     the index; debug=True checks them. Returns (per-row message bits,
     per-row ||chi||^2); bits are NaN where a level index left the exact
     range.
     """
     psi = _draw_psi(state.w, plan.arrays, plan.mu, streams, iteration)
     chi = psi - state.phi
-    bits, delta = _quantize_all(plan.work, chi, streams, iteration, plan.n)
+    bits, delta = _quantize_all(plan.work, chi, streams, iteration)
 
     state.phi += delta
     if state.copies is None:
@@ -416,7 +427,7 @@ def _monte_carlo(configs, models, w_opt, index, mix, debug=False) -> list:
     them. Every round is one step call on the stacked NetworkState: configs
     stack in list order, each round drawing every stream cell once for all
     of them, and every repetition starts from w = phi = 0 with its own
-    StreamField.
+    StreamField, told the number of rounds.
     With debug, each row keeps replicas of its neighbors' states in the
     table of index, checked every 100 rounds.
 
@@ -456,7 +467,7 @@ def _monte_carlo(configs, models, w_opt, index, mix, debug=False) -> list:
         live = [b for b in range(count) if diverged_at[b] is None]
         if not live:
             break
-        streams = StreamField(first.seed, rep)
+        streams = StreamField(first.seed, rep, t_iters)
         state = NetworkState(len(live) * n, l, width=width)
         plan = stack(live)
         where = slice(None) if len(live) == count else np.array(live)

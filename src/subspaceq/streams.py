@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _ziggurat_tables
+
 # purpose codes, one per independent stream lane within an (iteration, agent) cell
 GRADIENT = 0
 QUANTIZE = 1
@@ -37,10 +39,18 @@ _MUL_LO, _MUL_HI = _MULTIPLIERS & _LOW32, _MULTIPLIERS >> _SHIFT32
 _WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _ROUNDS = 10
 
-# Philox blocks of four words that one uniforms() chunk computes at most,
+# Philox blocks of four words that one chunk of a lane computes at most,
 # unless one round alone needs more; its transient arrays then stay under
-# about 1 MB (753 KB measured at baseline's 50 agents and width 5)
+# about 1 MB (tracemalloc peaks of 0.85 and 0.87 MB for the QUANTIZE and
+# GRADIENT lanes at baseline's 50 agents)
 _CHUNK_BLOCKS = 4096
+
+# the fields of a word that numpy's ziggurat reads: the layer index in bits
+# 0-7, the sign in bit 8 and a 52-bit magnitude above it
+_LAYER = np.uint64(0xFF)
+_SIGN = np.uint64(0x100)
+_MAGNITUDE_SHIFT = np.uint64(9)
+_MAGNITUDE = np.uint64(2**52 - 1)
 
 
 class StreamField:
@@ -55,19 +65,23 @@ class StreamField:
     therefore valid only until the next stream() call on the same field;
     draw from it at once and do not keep it.
 
-    normals() fills one preallocated row per agent with a round's GRADIENT
-    normals, each cell reset through stream(): numpy's ziggurat reads its
-    words one by one. uniforms() fills them with QUANTIZE uniforms computed
-    without the generator: one array Philox4x64-10 serves a chunk of
-    consecutive rounds for all its agents at once, and later calls in that
-    chunk read what it kept.
+    draws() reads whole rounds of a lane without the generator: one array
+    Philox4x64-10 computes a chunk of consecutive rounds for all the agents
+    asked for, and later calls in that chunk read what it kept. QUANTIZE
+    words become uniforms as random() makes them; GRADIENT words go through
+    the fast path of numpy's ziggurat, one word a normal, and only a cell
+    with a word that the fast path rejects is drawn again through stream().
+    normals() and uniforms() copy a round's draws into rows of an array.
+    iterations, when given, is the number of rounds the run reads: no chunk
+    reaches past it unless a later round is asked for.
     """
 
-    def __init__(self, master_seed: int, run: int = 0):
+    def __init__(self, master_seed: int, run: int = 0, iterations=None):
         ss = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_RUN, run))
         self._key = ss.generate_state(2, np.uint64)
         self.master_seed = master_seed
         self.run = run
+        self.iterations = iterations
         self._bits = np.random.Philox(key=self._key)
         self._generator = np.random.Generator(self._bits)
         # the low counter word is left free-running; stream() pins the others
@@ -81,65 +95,101 @@ class StreamField:
             "uinteger": 0,
         }
         self._schedule = _key_schedule(self._key)
-        # the last uniforms() chunk: ((agents, width), first round, draws)
-        self._chunk = (None, 0, ())
+        # the last chunk of each lane: ((agents, width), first round, draws)
+        self._chunks = {GRADIENT: (None, 0, ()), QUANTIZE: (None, 0, ())}
 
     def stream(self, iteration: int, agent: int, purpose: int) -> np.random.Generator:
         self._cell["counter"] = [0, purpose, agent, iteration]
         self._bits.state = self._fresh
         return self._generator
 
+    def draws(self, purpose: int, iteration: int, agents, width: int) -> np.ndarray:
+        """The (len(agents), width) draws of cells (iteration, k, purpose)
+        for k in agents, row by row: what stream(iteration, k,
+        purpose).standard_normal(width) draws for GRADIENT, and .random(width)
+        for QUANTIZE. The rows are a read-only view of the lane's chunk.
+
+        A chunk spans _CHUNK_BLOCKS over the Philox blocks of one round
+        consecutive rounds, from a multiple of that length, clipped at
+        iterations. A call with the agents and width of the lane's last
+        chunk and an iteration inside it reads that chunk; any other call
+        computes its own. An empty list of agents computes nothing."""
+        agents = list(agents)
+        if not agents:
+            return np.empty((0, width))
+        held, first, draws = self._chunks[purpose]
+        if held != (agents, width) or not 0 <= iteration - first < len(draws):
+            rounds = max(1, _CHUNK_BLOCKS // (len(agents) * -(-width // 4)))
+            first = iteration - iteration % rounds
+            if self.iterations is not None:
+                rounds = min(rounds, max(self.iterations, iteration + 1) - first)
+            draws = self._chunk(purpose, first, rounds, agents, width)
+            self._chunks[purpose] = ((agents, width), first, draws)
+        return draws[iteration - first]
+
     def normals(self, iteration: int, agents, out: np.ndarray) -> np.ndarray:
         """Fill out[k], for each agent k in agents, with the standard normals
-        of cell (iteration, k, GRADIENT); other rows stay as they are."""
-        stream = self.stream
-        for k in agents:
-            stream(iteration, k, GRADIENT).standard_normal(out=out[k])
+        of cell (iteration, k, GRADIENT), as draws() gives them; other rows
+        stay as they are."""
+        agents = list(agents)
+        out[agents] = self.draws(GRADIENT, iteration, agents, out.shape[1])
         return out
 
     def uniforms(self, iteration: int, agents, out: np.ndarray) -> np.ndarray:
         """Fill out[k], for each agent k in agents, with the uniforms on
-        [0, 1) of cell (iteration, k, QUANTIZE), those that
-        stream(iteration, k, QUANTIZE).random(width) draws; other rows stay
-        as they are, and an empty list of agents computes nothing.
-
-        The draws are computed a chunk of consecutive rounds at a time:
-        _CHUNK_BLOCKS over the Philox blocks of one round, starting at a
-        multiple of that length. A call with the agents and width of the
-        last chunk and an iteration inside it reads that chunk; any other
-        call computes its own."""
+        [0, 1) of cell (iteration, k, QUANTIZE), as draws() gives them;
+        other rows stay as they are."""
         agents = list(agents)
-        if not agents:
-            return out
-        width = out.shape[1]
-        held, first, draws = self._chunk
-        if held != (agents, width) or not 0 <= iteration - first < len(draws):
-            rounds = max(1, _CHUNK_BLOCKS // (len(agents) * -(-width // 4)))
-            first = iteration - iteration % rounds
-            draws = self._draw(first, rounds, agents, width)
-            self._chunk = ((agents, width), first, draws)
-        out[agents] = draws[iteration - first]
+        out[agents] = self.draws(QUANTIZE, iteration, agents, out.shape[1])
         return out
 
-    def _draw(self, first, rounds, agents, width):
-        """The (rounds, agents, width) QUANTIZE uniforms of rounds first,
-        first + 1, ... for agents. Block j = 1, 2, ... of cell (i, k) is the
-        Philox of counter [j, QUANTIZE, k, i], as the generator's counter
-        increments before each block; its four words are the cell's next
-        four draws, each the double (w >> 11) * 2**-53."""
+    def _chunk(self, purpose, first, rounds, agents, width):
+        """The (rounds, agents, width) draws of lane purpose in rounds first,
+        first + 1, ... for agents, read-only. GRADIENT cells with a word
+        that numpy's ziggurat rejects are drawn through stream()."""
+        words = self._words(purpose, first, rounds, agents, width)
+        if purpose == QUANTIZE:
+            draws = (words >> np.uint64(11)) * 2.0 ** -53
+        else:
+            draws, accepted = _ziggurat(words)
+            for r, a in zip(*np.nonzero(~accepted.all(axis=2))):
+                self.stream(first + int(r), agents[a], GRADIENT).standard_normal(
+                    out=draws[r, a])
+        draws.flags.writeable = False
+        return draws
+
+    def _words(self, purpose, first, rounds, agents, width):
+        """The first width words of cells (i, k, purpose), for rounds i =
+        first, first + 1, ... and agents k, as a (rounds, agents, width)
+        uint64 array. Block j = 1, 2, ... of a cell is the Philox of counter
+        [j, purpose, k, i], as the generator's counter increments before
+        each block; its four words are the cell's next four."""
         blocks = -(-width // 4)
         shape = (2, rounds, len(agents), blocks)
         even = np.empty(shape, dtype=np.uint64)     # counter words 0 and 2
         odd = np.empty(shape, dtype=np.uint64)      # counter words 1 and 3
         even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
         even[1] = np.array(agents, dtype=np.uint64)[:, None]
-        odd[0] = QUANTIZE
+        odd[0] = purpose
         odd[1] = np.arange(first, first + rounds, dtype=np.uint64)[:, None, None]
         even, odd = _philox(self._schedule, even.reshape(2, -1),
                             odd.reshape(2, -1))
         words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
-        words = words.reshape(rounds, len(agents), 4 * blocks)[..., :width]
-        return (words >> np.uint64(11)) * 2.0 ** -53
+        return words.reshape(rounds, len(agents), 4 * blocks)[..., :width]
+
+
+def _ziggurat(words):
+    """The fast path of numpy's random_standard_normal on each word: (the
+    normal it returns, whether it returns one). Layer i = w & 0xFF draws
+    x = r * WI[i] for the magnitude r = (w >> 9) & (2**52 - 1), negated
+    when bit 8 is set (r = 0 then gives -0.0, as in C), and accepts it iff
+    r < KI[i]. A rejected word's layer-0 tail and wedge tests read further
+    words and call libm, so they stay with the generator."""
+    layer = (words & _LAYER).astype(np.intp)
+    magnitude = (words >> _MAGNITUDE_SHIFT) & _MAGNITUDE
+    x = magnitude * _ziggurat_tables.WI[layer]
+    np.negative(x, out=x, where=(words & _SIGN).astype(bool))
+    return x, magnitude < _ziggurat_tables.KI[layer]
 
 
 def _key_schedule(key) -> list:

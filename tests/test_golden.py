@@ -42,18 +42,18 @@ def digests(res) -> dict:
             "chi_sq": _digest(res.chi_sq)}
 
 
-def _network(n, mode, connectivity=0.6, seed=5):
+def _network(n, mode, connectivity=0.6, seed=5, l=L):
     top = graphs.build_topology(n, connectivity, seed=seed)
     if mode == "consensus-metropolis":
-        basis = graphs.subspace_consensus(n, L)
+        basis = graphs.subspace_consensus(n, l)
     else:
-        basis = graphs.subspace_smooth(top, 2, L, weight=0.1)
+        basis = graphs.subspace_smooth(top, 2, l, weight=0.1)
     return top, basis, graphs.build_combination(top, basis, mode=mode)
 
 
-def _models(n, seed=42):
+def _models(n, seed=42, l=L):
     rng = np.random.default_rng(seed)
-    wstar = rng.normal(0.4, 1.0, (n, L))
+    wstar = rng.normal(0.4, 1.0, (n, l))
     return [DataModel(rng.uniform(1.5, 2.5), rng.uniform(0.1, 0.2), wstar[k])
             for k in range(n)]
 
@@ -111,6 +111,12 @@ CASES.update({
                                           PAIRS["gossip"][0]], 7), n=7),
     # 1,500 rounds span three chunks of StreamField.uniforms at six agents
     "lsq-uniform-chunks": lambda: _lsq_run(PAIRS["uniform"][0], iterations=1500),
+    # l = 8: nine normals a GRADIENT cell, three Philox blocks; 800 rounds
+    # cross a chunk edge of both lanes at four agents
+    "consensus-uniform-nine-normals": lambda: learning.run(
+        RunConfig(mu=0.02, gamma=0.8, iterations=800, runs=2,
+                  quantizer=quantizers.uniform(0.02, 8), seed=19),
+        _models(4, l=8), *_network(4, "consensus-metropolis", l=8)[1:]),
     "diffusion-uniform": lambda: _diffusion(PAIRS["uniform"][0]),
     "diffusion-cycled": lambda: _diffusion(_cycle(PAIRS["randc"] + PAIRS["anq"], 6)),
     "debug-anq": lambda: _consensus_run(PAIRS["anq"][0], debug=True),
@@ -130,6 +136,11 @@ CASES.update({
 })
 
 GOLDEN = {
+    'consensus-uniform-nine-normals': {
+        'msd': '5e05228517a1402e7171a65f83042f91e2b62706d7778c256b314823ef279108',
+        'bits': 'fe6ca4ec058a49dbf009825de7538793591e2337035cd636bcbd6de577ee82b2',
+        'chi_sq': '39a8060ebf043c239c5bf7a26e4f0f45447ebdc4338a161ba211e1eed214593c',
+    },
     'cycled-anq': {
         'msd': '27ab2adf0f002adf7f167f2708a164b37460a603ef8a54208c000257a7147321',
         'bits': '0179eff0e753d41f7c7c40692bd36ff93015365ce93eaf6ded822f4af227f975',
@@ -458,10 +469,13 @@ def failing_cases() -> list:
 #   OpenBLAS ddot, whose summation order depends on the kernel;
 # - lsq-anq, lsq-mixed, lsq-uniform-chunks, debug-lsq, flag-diverged-lsq,
 #   sweep-lsq: the least-squares combination fit goes through SuperLU and
-#   LAPACK.
+#   LAPACK;
+# - consensus-uniform-nine-normals, msd only: compute_wopt's U^T H w_star is
+#   an OpenBLAS dgemv over 32 coordinates.
 BLAS_DEPENDENT = {"cycled-qsgd", "shared-qsgd", "mixed-all-kinds", "lsq-anq",
                   "lsq-mixed", "lsq-uniform-chunks", "debug-lsq",
-                  "flag-diverged-lsq", "sweep-lsq"}
+                  "flag-diverged-lsq", "sweep-lsq",
+                  "consensus-uniform-nine-normals"}
 
 
 # The cases whose digests follow numpy's SIMD dispatch: anq's compander

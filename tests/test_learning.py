@@ -9,7 +9,8 @@ import pytest
 
 from subspaceq import graphs, learning, quantizers, streams
 from subspaceq.learning import DataModel, NetworkState, RunConfig
-from subspaceq.streams import GRADIENT, StreamField
+from subspaceq.streams import GRADIENT, QUANTIZE, StreamField
+from test_streams import rejected_cells
 
 
 def make_network(n, l, connectivity=1.0, seed=7, mode="subspace-lsq",
@@ -721,16 +722,17 @@ def test_factored_run_equals_dense_run_bitwise(monkeypatch):
 
 
 def test_batch_draws_each_cell_once(monkeypatch):
-    # each agent's GRADIENT cell is one stream() call a round, its
-    # QUANTIZE cell one cell of StreamField.uniforms' array Philox, both
-    # once a repetition for all five configs
+    # each agent's GRADIENT and QUANTIZE cells are one cell apiece of
+    # StreamField.draws' array Philox, once a repetition for all five
+    # configs; stream() draws only the GRADIENT cells with a word that the
+    # ziggurat's fast path rejects, found from the tables
     top, basis, comb = _batch_network()
     cells, steps, generated = [], [], Counter()
     real_stream, real_step, real_philox = (StreamField.stream, learning.step,
                                            streams._philox)
 
     def counting_stream(self, *args):
-        cells.append(args)
+        cells.append((self.run, *args))
         return real_stream(self, *args)
 
     def counting_step(*args, **kwargs):
@@ -740,8 +742,9 @@ def test_batch_draws_each_cell_once(monkeypatch):
     def counting_philox(schedule, even, odd):
         first = even[0] == 1        # a cell's first block
         key = tuple(schedule[0].ravel().tolist())
-        generated.update((key, i, k) for i, k in
-                         zip(odd[1][first].tolist(), even[1][first].tolist()))
+        generated.update((key, p, i, k) for p, i, k in
+                         zip(odd[0][first].tolist(), odd[1][first].tolist(),
+                             even[1][first].tolist()))
         return real_philox(schedule, even, odd)
 
     monkeypatch.setattr(StreamField, "stream", counting_stream)
@@ -756,13 +759,14 @@ def test_batch_draws_each_cell_once(monkeypatch):
                          quantizers.identity(3), cycled, quantizers.uniform(0.2, 3))]
     learning.run(configs, make_models(6, 3), basis, comb)
     assert len(steps) == 2 * 30
-    assert len(cells) == len(set(cells)) * 2 == 2 * 30 * 6
-    assert {purpose for _, _, purpose in cells} == {GRADIENT}
-    keys = {key for key, _, _ in generated}
-    assert len(keys) == 2
-    # a chunk may run past the last round; no cell of a round read twice
-    assert {c: m for c, m in generated.items() if c[1] < 30} == {
-        (key, i, k): 1 for key in keys for i in range(30) for k in range(6)}
+    fields = [StreamField(4, rep) for rep in range(2)]
+    keys = [tuple(f._key.tolist()) for f in fields]
+    assert generated == Counter({(key, p, i, k): 1 for key in keys
+                                 for p in (GRADIENT, QUANTIZE)
+                                 for i in range(30) for k in range(6)})
+    rejected = [(rep, i, k, GRADIENT) for rep in range(2)
+                for i, k in rejected_cells(fields[rep]._key, 30, range(6), 4)]
+    assert rejected and Counter(cells) == Counter(rejected)
 
 
 def test_batch_raises_the_first_diverging_config():

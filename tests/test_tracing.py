@@ -15,6 +15,7 @@ import pytest
 
 from subspaceq import graphs, learning, quantizers, streams
 from subspaceq.learning import DataModel, RunConfig
+from test_streams import rejected_cells
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -51,10 +52,11 @@ def test_every_round_is_one_traced_step(tracing, entry):
 
 
 def test_every_stream_cell_is_one_traced_stream_call(tracing, monkeypatch):
-    # stream() serves each agent's GRADIENT cell of a round and each randc
-    # row's QUANTIZE cell, one traced call apiece; the QUANTIZE cells of the
-    # other schemes but identity come from StreamField.uniforms' array
-    # Philox, each generated once a repetition for all the stacked configs
+    # StreamField.draws' array Philox generates each agent's GRADIENT cell
+    # and each reader's QUANTIZE cell once a repetition for all the stacked
+    # configs, and no round past the run's last; stream() serves each randc
+    # row's QUANTIZE cell and each GRADIENT cell with a word that the
+    # ziggurat's fast path rejects, one traced call apiece
     n, l, runs, iterations = 4, 2, 2, 3
     top = graphs.build_topology(n, 1.0, seed=1)
     basis = graphs.subspace_consensus(n, l)
@@ -70,22 +72,28 @@ def test_every_stream_cell_is_one_traced_stream_call(tracing, monkeypatch):
     philox = streams._philox
 
     def recording(schedule, even, odd):
-        # a cell's first block has counter word 0 equal to 1
+        # a cell's first block has counter word 0 equal to 1, and counter
+        # word 1 names its lane
         first = even[0] == 1
         key = tuple(schedule[0].ravel().tolist())
-        generated.update((key, i, k) for i, k in
-                         zip(odd[1][first].tolist(), even[1][first].tolist()))
+        generated.update((key, p, i, k) for p, i, k in
+                         zip(odd[0][first].tolist(), odd[1][first].tolist(),
+                             even[1][first].tolist()))
         return philox(schedule, even, odd)
 
     monkeypatch.setattr(streams, "_philox", recording)
     tracer = tracing.Tracer("contract", 0)
     with tracer.patched():
         learning.run(configs, models, basis, comb)
+    fields = [streams.StreamField(0, rep) for rep in range(runs)]
+    rejected = sum(len(rejected_cells(f._key, iterations, range(n), l + 1))
+                   for f in fields)
     randc_rows = 2
-    assert tracer.layers()["streams.stream"][0] == runs * iterations * (n + randc_rows)
-    keys = {key for key, _, _ in generated}
-    read = Counter({(key, i, k): 1 for key in keys for i in range(iterations)
-                    for k in (1, 2, 3)})
-    assert len(keys) == runs
-    # a chunk may run past the last round; no cell of a round read twice
-    assert Counter({c: m for c, m in generated.items() if c[1] < iterations}) == read
+    assert tracer.layers()["streams.stream"][0] == (runs * iterations * randc_rows
+                                                    + rejected)
+    keys = [tuple(f._key.tolist()) for f in fields]
+    assert generated == Counter(
+        {(key, p, i, k): 1 for key in keys for i in range(iterations)
+         for p, readers in ((streams.GRADIENT, range(n)),
+                            (streams.QUANTIZE, (1, 2, 3)))
+         for k in readers})
