@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,8 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Experiment:
-    """Fully validated experiment description."""
+    """Fully validated experiment description: one field per _CONFIG row,
+    log_range setting sweep_values."""
 
     n: int
     connectivity: float | None
@@ -76,9 +78,9 @@ def _field(cp, section, key, conv, default=_REQUIRED):
         if default is _REQUIRED:
             raise ConfigError(f"{section}.{key}: required")
         return default
-    raw = cp.get(section, key).strip()
-    try:
-        return conv(raw)
+    try:    # interpolation returns a value without '%' as it is, at twice the cost
+        raw = cp.get(section, key, raw=True)
+        return conv((cp.get(section, key) if "%" in raw else raw).strip())
     except ConfigError:
         raise
     except Exception as exc:
@@ -113,16 +115,65 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# every key load_config reads, by section; any other section or key is a
-# config error, so that a typo cannot fall back to a default unnoticed
-_KEYS = {
-    "network": ("n", "topology_file", "connectivity", "seed", "combination"),
-    "model": ("l", "p_vectors", "tau", "sigma_u_sq", "sigma_v_sq",
-              "laplacian_weight"),
-    "algorithm": ("mu", "gamma", "iterations", "runs", "quantizer", "b_hp"),
-    "output": ("directory", "per_agent"),
-    "sweep": ("schemes", "values", "log_range"),
-}
+class _Key(NamedTuple):
+    """One INI key: the Experiment field it fills, its converter, its
+    default (_REQUIRED if none), its own checks as (predicate, message)
+    pairs, a message being text or a function of the value, and whether
+    cmd_run's manifest lists the field."""
+
+    section: str
+    key: str
+    field: str
+    conv: Callable
+    default: object = _REQUIRED
+    checks: tuple = ()
+    manifest: bool = True
+
+
+_COUNT = ((lambda v: v >= 1, "must be >= 1"),)
+
+# every key load_config reads, in the order it reads them; any other section
+# or key is a config error, so that a typo cannot fall back to a default
+# unnoticed. Rules that read several keys follow the loop in load_config.
+_CONFIG = (
+    _Key("network", "n", "n", int, checks=_COUNT),
+    _Key("network", "connectivity", "connectivity", float, None,
+         ((lambda v: v is None or 0.0 < v <= 1.0, "must be in (0, 1]"),)),
+    _Key("network", "topology_file", "topology_file", str, None),
+    _Key("network", "seed", "seed", int,   # checked after --seed applies
+         checks=((lambda v: v >= 0, "must be >= 0"),), manifest=False),
+    _Key("network", "combination", "combination", str, "subspace-lsq",
+         ((lambda v: v in ("subspace-lsq", "consensus-metropolis"),
+           lambda v: f"unknown mode {v!r}"),)),
+    _Key("model", "l", "l", int, checks=_COUNT),
+    _Key("model", "p_vectors", "p_vectors", int, 2),
+    _Key("model", "tau", "tau", float, 3.0,
+         ((lambda v: 0 <= v < math.inf, "must be >= 0 and finite"),)),
+    _Key("model", "sigma_u_sq", "su_range", _range_pair,
+         checks=((lambda v: v[0] > 0, "lower bound must be > 0"),)),
+    _Key("model", "sigma_v_sq", "sv_range", _range_pair,
+         checks=((lambda v: v[0] >= 0, "must be >= 0"),)),
+    _Key("model", "laplacian_weight", "lap_weight", float, 0.1,
+         ((lambda v: 0 < v < math.inf, "must be > 0 and finite"),)),
+    _Key("algorithm", "mu", "mus", _floats, manifest=False, checks=(
+        (lambda v: all(m > 0 for m in v), "every value must be > 0"),
+        (lambda v: len(set(v)) == len(v), lambda v: "step size "
+         f"{_number(next(m for i, m in enumerate(v) if m in v[:i]))} is repeated"))),
+    _Key("algorithm", "gamma", "gamma", float,
+         checks=((lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),)),
+    _Key("algorithm", "iterations", "iterations", int, checks=_COUNT),
+    _Key("algorithm", "runs", "runs", int, 1, _COUNT),
+    _Key("algorithm", "quantizer", "quantizer_text", str),
+    _Key("algorithm", "b_hp", "b_hp", int, 32, _COUNT),
+    _Key("output", "directory", "out_dir", str, "out", manifest=False),
+    _Key("output", "per_agent", "per_agent", _bool, False),
+    _Key("sweep", "schemes", "sweep_schemes", _names, (), manifest=False),
+    _Key("sweep", "values", "sweep_values", _floats, (), manifest=False),
+    # not a field: it sets sweep_values
+    _Key("sweep", "log_range", "log_range", _floats, None, manifest=False),
+)
+_KEYS = {section: {k.key for k in _CONFIG if k.section == section}
+         for section in {k.section for k in _CONFIG}}
 
 
 def load_config(path, seed_override=None, out_override=None) -> Experiment:
@@ -144,81 +195,35 @@ def load_config(path, seed_override=None, out_override=None) -> Experiment:
             if key not in _KEYS[section]:
                 raise ConfigError(f"{section}.{key}: unknown key")
 
-    n = _field(cp, "network", "n", int)
-    if n < 1:
-        raise ConfigError("network.n: must be >= 1")
-    topology_file = _field(cp, "network", "topology_file", str, None)
-    connectivity = _field(cp, "network", "connectivity", float, None)
-    if topology_file is None and connectivity is None:
+    overrides = {"seed": seed_override, "out_dir": out_override}
+    values = {}
+    for section, key, field, conv, default, checks, _ in _CONFIG:
+        value = _field(cp, section, key, conv, default)
+        if overrides.get(field) is not None:
+            value = overrides[field]
+        for ok, message in checks:
+            if not ok(value):
+                raise ConfigError(f"{section}.{key}: " + (
+                    message(value) if callable(message) else message))
+        values[field] = value
+
+    if values["topology_file"] is None and values["connectivity"] is None:
         raise ConfigError("network.connectivity: required without topology_file")
-    if topology_file is not None and connectivity is not None:
+    if values["topology_file"] is not None and values["connectivity"] is not None:
         raise ConfigError("network.connectivity: set either this or topology_file")
-    if connectivity is not None and not 0.0 < connectivity <= 1.0:
-        raise ConfigError("network.connectivity: must be in (0, 1]")
-    seed = _field(cp, "network", "seed", int)
-    if seed_override is not None:
-        seed = seed_override
-    if seed < 0:
-        raise ConfigError("network.seed: must be >= 0")
-    combination = _field(cp, "network", "combination", str, "subspace-lsq")
-    if combination not in ("subspace-lsq", "consensus-metropolis"):
-        raise ConfigError("network.combination: unknown mode "
-                          f"{combination!r}")
-
-    l = _field(cp, "model", "l", int)
-    if l < 1:
-        raise ConfigError("model.l: must be >= 1")
-    p_vectors = _field(cp, "model", "p_vectors", int, 2)
-    if combination == "subspace-lsq" and n > 1 and not 1 <= p_vectors < n:
+    n = values["n"]
+    if (values["combination"] == "subspace-lsq" and n > 1
+            and not 1 <= values["p_vectors"] < n):
         raise ConfigError("model.p_vectors: must be in [1, n)")
-    tau = _field(cp, "model", "tau", float, 3.0)
-    if not 0 <= tau < math.inf:
-        raise ConfigError("model.tau: must be >= 0 and finite")
-    su_range = _field(cp, "model", "sigma_u_sq", _range_pair)
-    if not su_range[0] > 0:
-        raise ConfigError("model.sigma_u_sq: lower bound must be > 0")
-    sv_range = _field(cp, "model", "sigma_v_sq", _range_pair)
-    if not sv_range[0] >= 0:
-        raise ConfigError("model.sigma_v_sq: must be >= 0")
-    lap_weight = _field(cp, "model", "laplacian_weight", float, 0.1)
-    if not 0 < lap_weight < math.inf:
-        raise ConfigError("model.laplacian_weight: must be > 0 and finite")
-
-    mus = _field(cp, "algorithm", "mu", _floats)
-    if any(not m > 0 for m in mus):
-        raise ConfigError("algorithm.mu: every value must be > 0")
-    repeated = [m for i, m in enumerate(mus) if m in mus[:i]]
-    if repeated:
-        raise ConfigError(f"algorithm.mu: step size {_number(repeated[0])} "
-                          "is repeated")
-    gamma = _field(cp, "algorithm", "gamma", float)
-    if not 0.0 < gamma <= 1.0:
-        raise ConfigError("algorithm.gamma: must be in (0, 1]")
-    iterations = _field(cp, "algorithm", "iterations", int)
-    if iterations < 1:
-        raise ConfigError("algorithm.iterations: must be >= 1")
-    runs = _field(cp, "algorithm", "runs", int, 1)
-    if runs < 1:
-        raise ConfigError("algorithm.runs: must be >= 1")
-    quantizer_text = _field(cp, "algorithm", "quantizer", str)
-    b_hp = _field(cp, "algorithm", "b_hp", int, 32)
-    if b_hp < 1:
-        raise ConfigError("algorithm.b_hp: must be >= 1")
     try:
-        resolve_quantizer(quantizer_text, mus[0], l, b_hp)
+        resolve_quantizer(values["quantizer_text"], values["mus"][0],
+                          values["l"], values["b_hp"])
     except quantizers.SpecError as exc:
         raise ConfigError(f"algorithm.quantizer: {exc}") from exc
 
-    out_dir = _field(cp, "output", "directory", str, "out")
-    if out_override is not None:
-        out_dir = out_override
-    per_agent = _field(cp, "output", "per_agent", _bool, False)
-
-    sweep_schemes = _field(cp, "sweep", "schemes", _names, ())
-    sweep_values = _field(cp, "sweep", "values", _floats, ())
-    log_range = _field(cp, "sweep", "log_range", _floats, None)
+    log_range = values.pop("log_range")
     if log_range is not None:
-        if sweep_values:
+        if values["sweep_values"]:
             raise ConfigError("sweep.log_range: set either this or sweep.values")
         if len(log_range) != 3:
             raise ConfigError("sweep.log_range: need 'lo, hi, count'")
@@ -226,21 +231,12 @@ def load_config(path, seed_override=None, out_override=None) -> Experiment:
         if not (0 < lo < hi and cnt >= 2 and cnt == int(cnt)):
             raise ConfigError("sweep.log_range: need 0 < lo < hi and an "
                               "integer count >= 2")
-        sweep_values = tuple(np.geomspace(lo, hi, int(cnt)))
-    if sweep_schemes and not sweep_values:
+        values["sweep_values"] = tuple(np.geomspace(lo, hi, int(cnt)))
+    if values["sweep_schemes"] and not values["sweep_values"]:
         raise ConfigError("sweep.values: required when schemes are set")
-    if any(not v > 0 for v in sweep_values):
+    if any(not x > 0 for x in values["sweep_values"]):
         raise ConfigError("sweep.values: step-size grid must be > 0")
-
-    return Experiment(
-        n=n, connectivity=connectivity, topology_file=topology_file, seed=seed,
-        combination=combination, l=l, p_vectors=p_vectors, tau=tau,
-        su_range=su_range, sv_range=sv_range, lap_weight=lap_weight,
-        mus=mus, gamma=gamma, iterations=iterations, runs=runs,
-        quantizer_text=quantizer_text, b_hp=b_hp,
-        out_dir=out_dir, per_agent=per_agent,
-        sweep_schemes=sweep_schemes, sweep_values=sweep_values,
-    )
+    return Experiment(**values)
 
 
 def resolve_quantizer(text, mu, l, b_hp):
@@ -353,11 +349,9 @@ def cmd_run(exp: Experiment, workers=1) -> int:
     with open(manifest, "w") as fh:
         fh.write(f"# subspaceq {__version__}\n")
         fh.write(f"seed = {exp.seed}\n")
-        for name in ("n", "connectivity", "topology_file", "combination", "l",
-                     "p_vectors", "tau", "su_range", "sv_range", "lap_weight",
-                     "gamma", "iterations", "runs", "quantizer_text", "b_hp",
-                     "per_agent"):
-            fh.write(f"{name} = {getattr(exp, name)}\n")
+        for k in _CONFIG:
+            if k.manifest:
+                fh.write(f"{k.field} = {getattr(exp, k.field)}\n")
         fh.write(f"mus = {', '.join(map(_number, exp.mus))}\n")
         for cfg in configs:
             fh.write(f"quantizer[mu={_number(cfg.mu)}] = "

@@ -29,8 +29,6 @@ __all__ = [
     "encode_sequence",
     "decode_sequence",
     "sequence_bit_cost",
-    "dump_streams",
-    "load_streams",
 ]
 
 
@@ -109,20 +107,3 @@ def decode_sequence(stream) -> list[int]:
 def sequence_bit_cost(ns) -> float:
     """Bit cost of encode_sequence(ns) without materializing symbols."""
     return BITS_PER_SYMBOL * sum(1 + partition_index(n) for n in ns)
-
-
-def dump_streams(streams, path):
-    """ASCII serialization, one stream per line."""
-    with open(path, "w") as fh:
-        for s in streams:
-            fh.write((s.symbols if isinstance(s, CodedStream) else s) + "\n")
-
-
-def load_streams(path) -> list[CodedStream]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            text = line.rstrip("\n")
-            n = decode_sequence(text)  # validates
-            out.append(CodedStream(text, len(n), BITS_PER_SYMBOL * len(text)))
-    return out

@@ -45,7 +45,6 @@ __all__ = [
     "compute_wopt",
     "projector",
     "spectral_radius",
-    "save_matrix_csv",
 ]
 
 
@@ -571,16 +570,3 @@ def compute_wopt(basis: SubspaceBasis, covariances, w_star) -> np.ndarray:
     if np.linalg.cond(g) > 1e12:
         raise SingularProjection("U^T H U is numerically singular")
     return u @ np.linalg.solve(g, uth @ w_star)
-
-
-# ---------------------------------------------------------------------------
-# matrix export
-
-def save_matrix_csv(path, mat, header=None):
-    """Row-major CSV at full decimal precision, optional '#' header line."""
-    mat = np.atleast_2d(np.asarray(mat))
-    with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for row in mat:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -71,7 +71,6 @@ class StreamField:
     words become uniforms as random() makes them; GRADIENT words go through
     the fast path of numpy's ziggurat, one word a normal, and only a cell
     with a word that the fast path rejects is drawn again through stream().
-    normals() and uniforms() copy a round's draws into rows of an array.
     iterations, when given, is the number of rounds the run reads: no chunk
     reaches past it unless a later round is asked for.
     """
@@ -126,22 +125,6 @@ class StreamField:
             draws = self._chunk(purpose, first, rounds, agents, width)
             self._chunks[purpose] = ((agents, width), first, draws)
         return draws[iteration - first]
-
-    def normals(self, iteration: int, agents, out: np.ndarray) -> np.ndarray:
-        """Fill out[k], for each agent k in agents, with the standard normals
-        of cell (iteration, k, GRADIENT), as draws() gives them; other rows
-        stay as they are."""
-        agents = list(agents)
-        out[agents] = self.draws(GRADIENT, iteration, agents, out.shape[1])
-        return out
-
-    def uniforms(self, iteration: int, agents, out: np.ndarray) -> np.ndarray:
-        """Fill out[k], for each agent k in agents, with the uniforms on
-        [0, 1) of cell (iteration, k, QUANTIZE), as draws() gives them;
-        other rows stay as they are."""
-        agents = list(agents)
-        out[agents] = self.draws(QUANTIZE, iteration, agents, out.shape[1])
-        return out
 
     def _chunk(self, purpose, first, rounds, agents, width):
         """The (rounds, agents, width) draws of lane purpose in rounds first,

@@ -120,12 +120,15 @@ def test_quantizer_moment_contracts():
                     spec, x, setup_rng(402, cells), draws)
                 z = np.abs(mom["mean_err"]) - 4.0 * mom["se_mean"]
                 worst_bias = max(worst_bias, float(np.max(z)))
-                cap = (budget.beta_sq * float(x @ x) + budget.sigma_sq
-                       + 4.0 * mom["se_mse"])
-                worst_margin = min(worst_margin, cap - mom["mse"])
+                # a slack relative to cap, as quantizer-test states it:
+                # gossip(0.5) meets its budget with equality in every draw,
+                # and at a cap of 1e4 one float spacing exceeds 1e-12
+                cap = budget.beta_sq * float(x @ x) + budget.sigma_sq
+                worst_margin = min(worst_margin, (1.0 + 1e-12) * cap
+                                   + 4.0 * mom["se_mse"] - mom["mse"])
                 cells += 1
     elapsed = time.time() - t0
-    ok = worst_bias <= 1e-12 and worst_margin >= -1e-12 and elapsed < 60.0
+    ok = worst_bias <= 1e-12 and worst_margin >= 0.0 and elapsed < 60.0
     assert report(ok, "quantizer moment contracts",
                   f"{cells} cells, worst bias excess {worst_bias:.2e}, "
                   f"worst budget margin {worst_margin:.3e}, {elapsed:.1f}s")

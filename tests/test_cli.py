@@ -176,6 +176,67 @@ def test_negative_seed_exits_with_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+# a value that breaks each key's own check, and the exact message it raises
+CHECK_MESSAGES = [
+    ("network", "n", "0", "must be >= 1"),
+    ("network", "connectivity", "0", "must be in (0, 1]"),
+    ("network", "connectivity", "1.5", "must be in (0, 1]"),
+    ("network", "seed", "-1", "must be >= 0"),
+    ("network", "combination", "ring", "unknown mode 'ring'"),
+    ("model", "l", "0", "must be >= 1"),
+    ("model", "tau", "-1", "must be >= 0 and finite"),
+    ("model", "tau", "inf", "must be >= 0 and finite"),
+    ("model", "sigma_u_sq", "0, 1", "lower bound must be > 0"),
+    ("model", "sigma_v_sq", "-0.1, 0.2", "must be >= 0"),
+    ("model", "laplacian_weight", "0", "must be > 0 and finite"),
+    ("model", "laplacian_weight", "inf", "must be > 0 and finite"),
+    ("algorithm", "mu", "0.01, 0", "every value must be > 0"),
+    ("algorithm", "mu", "0.01, 0.02, 1e-2", "step size 0.01 is repeated"),
+    ("algorithm", "gamma", "0", "must be in (0, 1]"),
+    ("algorithm", "gamma", "1.3", "must be in (0, 1]"),
+    ("algorithm", "iterations", "0", "must be >= 1"),
+    ("algorithm", "runs", "0", "must be >= 1"),
+    ("algorithm", "b_hp", "0", "must be >= 1"),
+    ("output", "per_agent", "maybe", "not a boolean: 'maybe'"),
+]
+
+
+def set_key(tmp_path, section, key, value):
+    """base_config with section.key set to value: its line replaced, or one
+    added under the section header."""
+    text = BASE.format(iters=650, out=tmp_path / "out")
+    line = f"{key} = {value}"
+    text, found = re.subn(rf"^{key} = .*$", lambda _: line, text, flags=re.M)
+    if not found:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    return write_config(tmp_path, text)
+
+
+@pytest.mark.parametrize("section, key, value, message", CHECK_MESSAGES)
+def test_each_key_check_raises_its_exact_message(tmp_path, section, key, value,
+                                                 message):
+    with pytest.raises(ConfigError) as info:
+        cli.load_config(set_key(tmp_path, section, key, value))
+    assert str(info.value) == f"{section}.{key}: {message}"
+
+
+def test_every_checked_key_has_a_pinned_message():
+    # per_agent's check is its converter
+    assert {(k.section, k.key) for k in cli._CONFIG if k.checks} | \
+        {("output", "per_agent")} == {(s, k) for s, k, _, _ in CHECK_MESSAGES}
+
+
+def test_percent_values_interpolate_or_are_config_errors(tmp_path):
+    # before: a bare '%' or an unknown %(name)s escaped as a traceback
+    exp = cli.load_config(base_config(tmp_path, **{
+        "quantizer = anq:omega=0.25,eta=auto": "quantizer = uniform:delta=%(mu)s"}))
+    assert exp.quantizer_text == "uniform:delta=0.01"
+    with pytest.raises(ConfigError, match=r"^algorithm\.mu: '%' must be followed"):
+        cli.load_config(base_config(tmp_path, **{"mu = 0.01": "mu = 1%"}))
+    with pytest.raises(ConfigError, match=r"^model\.tau: Bad value substitution"):
+        cli.load_config(base_config(tmp_path, **{"tau = 3.0": "tau = %(nope)s"}))
+
+
 def test_eta_auto_resolution():
     spec = cli.resolve_quantizer("anq:omega=0.25,eta=auto", 0.01, 5, 32)
     assert spec.kind == "anq"
@@ -284,6 +345,15 @@ def test_load_config_reads_exactly_the_declared_keys(tmp_path, monkeypatch):
     assert asked == {(s, k) for s, keys in cli._KEYS.items() for k in keys}
 
 
+def test_readme_lists_the_declared_keys():
+    readme = (ROOT / "README.md").read_text()
+    text = readme.split("A config is an INI file with the sections ")[1]
+    text = text.split("Each key is one row")[0]
+    listed = {section: set(re.findall(r"`(\w+)`", keys))
+              for section, keys in re.findall(r"`(\w+)` \(([^)]*)\)", text)}
+    assert listed == cli._KEYS
+
+
 def _unreadable_topology(tmp_path):
     extra = "\n[sweep]\nschemes = uniform\nvalues = 0.1\n"
     return base_config(tmp_path, iters=500, extra=extra, **{
@@ -367,6 +437,44 @@ def test_run_writes_csvs_and_manifest(tmp_path):
     assert "seed = 11" in manifest
     assert "quantizer[mu=0.01]" in manifest
     assert "metrics_mu0p01.csv" in manifest
+
+
+MANIFEST = """\
+# subspaceq {version}
+seed = 11
+n = 5
+connectivity = 1.0
+topology_file = None
+combination = subspace-lsq
+l = 2
+p_vectors = 2
+tau = 3.0
+su_range = (1.5, 2.5)
+sv_range = (0.1, 0.2)
+lap_weight = 0.1
+gamma = 0.9
+iterations = 200
+runs = 2
+quantizer_text = anq:omega=0.25,eta=auto
+b_hp = 32
+per_agent = True
+mus = 0.01, 0.02
+quantizer[mu=0.01] = anq:omega=0.25,eta=0.005
+quantizer[mu=0.02] = anq:omega=0.25,eta=0.01
+sigma_u_sq = 1.9861712718975828, 1.9270150534926511, 1.506220759790966, \
+2.1564100864717082, 2.1843812709704995
+sigma_v_sq = 0.16870171155955382, 0.16826405331906458, 0.17850886112339942, \
+0.15411526210126691, 0.19580963288188258
+files = metrics_mu0p01.csv, metrics_mu0p02.csv
+"""
+
+
+def test_run_manifest_bytes(tmp_path):
+    path = base_config(tmp_path, iters=200, extra="per_agent = yes\n",
+                       **{"mu = 0.01": "mu = 0.01, 0.02"})
+    assert cli.main(["run", "--config", path]) == 0
+    assert (tmp_path / "out" / "manifest.txt").read_text() == \
+        MANIFEST.format(version=cli.__version__)
 
 
 def test_manifest_records_the_resolved_quantizer_exactly(tmp_path):

@@ -144,11 +144,3 @@ def test_heavy_tailed_roundtrips():
         ns = np.rint(rng.standard_cauchy(n) * 10).astype(np.int64).tolist()
         assert codec.decode_sequence(codec.encode_sequence(ns)) == ns
 
-
-def test_stream_file_serialization(tmp_path):
-    streams = [codec.encode_sequence(ns) for ns in ([0, 5, -3], [], [1000000])]
-    path = tmp_path / "streams.txt"
-    codec.dump_streams(streams, path)
-    back = codec.load_streams(path)
-    assert [s.symbols for s in back] == [s.symbols for s in streams]
-    assert [codec.decode_sequence(s) for s in back] == [[0, 5, -3], [], [1000000]]

@@ -109,7 +109,7 @@ CASES.update({
     "lsq-anq": lambda: _lsq_run(PAIRS["anq"][0]),
     "lsq-mixed": lambda: _lsq_run(_cycle([PAIRS["uniform"][0], PAIRS["qsgd"][0],
                                           PAIRS["gossip"][0]], 7), n=7),
-    # 1,500 rounds span three chunks of StreamField.uniforms at six agents
+    # 1,500 rounds span three chunks of the QUANTIZE lane at six agents
     "lsq-uniform-chunks": lambda: _lsq_run(PAIRS["uniform"][0], iterations=1500),
     # l = 8: nine normals a GRADIENT cell, three Philox blocks; 800 rounds
     # cross a chunk edge of both lanes at four agents

@@ -34,7 +34,6 @@ from subspaceq.graphs import (
     load_topology,
     metropolis_weights,
     projector,
-    save_matrix_csv,
     save_topology,
     smooth_signal,
     spectral_radius,
@@ -656,20 +655,6 @@ def test_wopt_scalar_path_never_forms_the_dense_h():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def test_save_matrix_csv_roundtrip(tmp_path):
-    mat = np.random.default_rng(2).normal(size=(4, 3)) * np.pi
-    path = tmp_path / "mat.csv"
-    save_matrix_csv(path, mat, header="combination matrix, seed 2")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# combination")
-    back = np.loadtxt(path, delimiter=",", comments="#")
-    assert np.array_equal(back, mat)
 
 
 def test_spectral_radius_nonsymmetric():

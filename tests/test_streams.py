@@ -62,7 +62,7 @@ def test_runs_and_seeds_are_separate_lattices():
     assert not np.array_equal(a, b) and not np.array_equal(a, c)
 
 
-# each array call and the draw it must reproduce from a fresh cell
+# each lane's array draws and the draw they must reproduce from a fresh cell
 ARRAY_CALLS = {
     "normals": (GRADIENT, lambda g, width: g.standard_normal(width)),
     "uniforms": (QUANTIZE, lambda g, width: g.random(width)),
@@ -103,8 +103,7 @@ def test_array_calls_equal_fresh_generators(seed, run, chunk, agents, shapes,
                                             jumps, call, partial, cell):
     # one field serves every call: the rounds around a chunk edge in order,
     # then rounds near it in any order, each call on one of two (rows,
-    # width) shapes with the agents that fit it, in any order; every row
-    # but theirs stays as it was
+    # width) shapes with the agents that fit it, in any order
     field = StreamField(seed, run=run)
     purpose, draw = ARRAY_CALLS[call]
     if partial:
@@ -115,17 +114,16 @@ def test_array_calls_equal_fresh_generators(seed, run, chunk, agents, shapes,
         rows, width = shapes[shape]
         readers = [k for k in agents if k < rows]
         edge = (chunk + 1) * chunk_rounds(readers, width)
-        return max(0, edge + offset), readers, rows, width
+        return max(0, edge + offset), readers, width
 
     visits = [visit(0, offset) for offset in (-2, -1, 0, 1)]
     visits += [visit(shape, offset) for shape, offset in jumps]
-    for iteration, readers, rows, width in visits:
-        out = np.full((rows, width), np.nan)
-        assert getattr(field, call)(iteration, readers, out) is out
-        for k in range(rows):
-            want = (draw(fresh(field, iteration, k, purpose), width)
-                    if k in readers else np.full(width, np.nan))
-            assert np.array_equal(out[k], want, equal_nan=True), (iteration, k)
+    for iteration, readers, width in visits:
+        got = field.draws(purpose, iteration, readers, width)
+        assert got.shape == (len(readers), width)
+        for k, row in zip(readers, got):
+            want = draw(fresh(field, iteration, k, purpose), width)
+            assert np.array_equal(row, want), (iteration, k)
     # nor may what the calls leave reach a later cell: permutation consumes
     # 32-bit halves, random() whole words
     g = field.stream(*cell, QUANTIZE)
@@ -217,5 +215,5 @@ def test_chunks_stop_at_the_last_round(monkeypatch):
             field.draws(purpose, i, [1, 3], 5)
     assert generated == Counter({(p, i, k): 1 for p in (GRADIENT, QUANTIZE)
                                  for i in range(3) for k in (1, 3)})
-    got = field.normals(7, [3], np.zeros((4, 5)))[3]
+    got = field.draws(GRADIENT, 7, [3], 5)[0]
     assert np.array_equal(got, fresh(field, 7, 3, GRADIENT).standard_normal(5))
