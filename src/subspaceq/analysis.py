@@ -29,7 +29,6 @@ __all__ = [
     "gamma_bound",
     "rate_upper_bound",
     "rate_distortion_sweep",
-    "save_sweep_csv",
 ]
 
 
@@ -78,8 +77,16 @@ def spectral_report(comb: CombinationMatrix, basis: SubspaceBasis) -> SpectralRe
     when it is ill conditioned instead of perturbing toward a
     diagonalizable form. A factored consensus matrix W kron I_l is
     diagonalized as W against the scalar consensus basis, whose eigenvalues
-    and eigenbasis are those of A repeated l times.
+    and eigenbasis are those of A repeated l times. A symmetric W needs no
+    complement: the spectrum of W - 11^T/n that the matrix keeps is that of
+    J plus the eigenvalue of the ones direction, the one of least
+    magnitude, which is dropped.
     """
+    if comb.factored and comb.minor_spectrum.symmetric:
+        lam = comb.minor_spectrum.eigenvalues
+        lam = np.delete(lam, np.argmin(np.abs(lam)))
+        return _report(lam, 1.0, 1.0)
+
     a, reduced = reduced_problem(comb, basis)
     u = reduced.u
     q = _complement(u)
@@ -99,7 +106,11 @@ def spectral_report(comb: CombinationMatrix, basis: SubspaceBasis) -> SpectralRe
                 f"eigenbasis condition number {sv[0] / max(sv[-1], 1e-300):.3g} "
                 f"exceeds {DEFECTIVE_COND:g}")
         v1, v2 = float(1.0 / sv[-1]), float(sv[0])
+    return _report(lam, v1, v2)
 
+
+def _report(lam, v1, v2) -> SpectralReport:
+    """The report of the minor-block eigenvalues lam and eigenbasis norms."""
     return SpectralReport(
         rho_j=float(np.max(np.abs(lam))),
         rho_i_minus_j=float(np.max(np.abs(1.0 - lam))),
@@ -180,12 +191,3 @@ def rate_distortion_sweep(template: RunConfig, models, basis, comb, grid):
         points.append(SweepPoint(float(value), rate, msd,
                                  10.0 * math.log10(msd), False))
     return points
-
-
-def save_sweep_csv(path, points, version, seed):
-    with open(path, "w") as fh:
-        fh.write(f"# subspaceq {version} seed={seed}\n")
-        fh.write("param_value,rate_bits,msd,msd_db,diverged_flag\n")
-        for p in points:
-            fh.write(f"{p.param_value:.10g},{p.rate_bits:.10g},"
-                     f"{p.msd:.10g},{p.msd_db:.10g},{int(p.diverged)}\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -137,6 +138,22 @@ class SubspaceBasis:
         return self.u.shape[0]
 
 
+class MinorSpectrum(NamedTuple):
+    """What the checks of a combination matrix A against a basis U read:
+    the largest entry of A U - U and U^T A - U^T, and the eigenvalues of
+    A - U U^T, from eigvalsh when that matrix equals its transpose exactly
+    (``symmetric``), else from eigvals."""
+
+    residual: float
+    eigenvalues: np.ndarray
+    symmetric: bool
+
+    @property
+    def rho(self) -> float:
+        """rho(A - U U^T)."""
+        return float(np.max(np.abs(self.eigenvalues)))
+
+
 @dataclass(frozen=True, eq=False)
 class CombinationMatrix:
     """Combination matrix A, held as its neighbour table in O(n d_max)
@@ -146,9 +163,10 @@ class CombinationMatrix:
     the end with the agent itself to the largest neighbourhood size d_max,
     as Topology.neighbor_index gives it; ``weights`` holds A there, zero at
     the padding: the scalar W, (n, d_max), when A = W kron I_l
-    (``factored``), else l x l blocks, (n, d_max, l, l). ``matrix``, what
-    checks read (W when factored, else A), and ``a``, the dense A, are new
-    arrays on every read.
+    (``factored``), else l x l blocks, (n, d_max, l, l). Both are stored as
+    read-only views. ``matrix``, what checks read (W when factored, else
+    A), and ``a``, the dense A, are new arrays on every read; a factored
+    matrix keeps its ``minor_spectrum`` once read.
     """
 
     topology: Topology
@@ -156,9 +174,32 @@ class CombinationMatrix:
     index: np.ndarray             # (n, d_max) neighbour agents
     weights: np.ndarray           # (n, d_max) W, or (n, d_max, l, l) blocks
 
+    def __post_init__(self):
+        for name in ("index", "weights"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __reduce__(self):
+        # a copy is built through __init__, so its table is read-only too
+        return type(self), (self.topology, self.block_dims, self.index,
+                            self.weights)
+
     @property
     def factored(self) -> bool:
         return self.weights.ndim == 2
+
+    @functools.cached_property
+    def minor_spectrum(self) -> MinorSpectrum:
+        """The checks of a factored W kron I_l, taken on W against the
+        scalar consensus basis (see reduced_problem): one eigensolve of
+        W - 11^T/n, on first read. ValueError for a matrix of blocks, whose
+        spectrum depends on its basis."""
+        if not self.factored:
+            raise ValueError("only a factored combination matrix keeps its "
+                             "minor spectrum")
+        return _minor_spectrum(self.matrix,
+                               subspace_consensus(self.topology.n, 1).u)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -355,12 +396,18 @@ def projector(basis: SubspaceBasis) -> np.ndarray:
     return basis.u @ basis.u.T
 
 
+def _eigenvalues(mat) -> tuple:
+    """(eigenvalues, symmetric): the symmetric solver when mat == mat^T
+    exactly, else the general one."""
+    symmetric = bool(np.array_equal(mat, mat.T))
+    if symmetric:
+        return np.linalg.eigvalsh(mat), symmetric
+    return np.linalg.eigvals(mat), symmetric
+
+
 def spectral_radius(mat) -> float:
     """Largest eigenvalue modulus; the symmetric solver when mat == mat^T."""
-    mat = np.asarray(mat)
-    if np.array_equal(mat, mat.T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(mat))))
-    return float(np.max(np.abs(np.linalg.eigvals(mat))))
+    return float(np.max(np.abs(_eigenvalues(np.asarray(mat))[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +493,45 @@ def _constrained_lsq(topology, basis):
     return index, weights
 
 
+def _require_finite(a):
+    """InfeasibleConstraints naming the first non-finite entry of a."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        k, j = np.argwhere(bad)[0]
+        raise InfeasibleConstraints(
+            f"combination matrix entry ({k}, {j}) is {a[k, j]}, not finite")
+
+
+def _minor_spectrum(a, u) -> MinorSpectrum:
+    """The residual and spectrum every check of A against U reads; a
+    non-finite A is rejected before any solve."""
+    _require_finite(a)
+    residual = max(np.max(np.abs(a @ u - u)), np.max(np.abs(u.T @ a - u.T)))
+    lam, symmetric = _eigenvalues(a - u @ u.T)
+    lam.flags.writeable = False
+    return MinorSpectrum(float(residual), lam, symmetric)
+
+
+def _checked(spectrum: MinorSpectrum) -> dict:
+    """``{"residual": ..., "rho": ...}`` of a spectrum that passes the
+    checks; a NaN fails each comparison, so it fails the checks."""
+    residual = spectrum.residual
+    if not residual <= TOL_CONSTRAINT:
+        raise InfeasibleConstraints(f"subspace condition residual {residual:.3e}")
+    rho = spectrum.rho
+    if not rho < 1.0 - 1e-6:
+        raise SpectralViolation(f"rho(A - P_U) = {rho:.8f}")
+    return {"residual": residual, "rho": rho}
+
+
 def validate_combination(a, topology, basis) -> dict:
     """Check the subspace eigen-conditions and the contraction off-subspace.
 
     Returns ``{"residual": ..., "rho": ...}``; raises InfeasibleConstraints if
-    either A U = U or U^T A = U^T fails beyond tolerance, SpectralViolation if
-    rho(A - P_U) is not strictly below one.
+    a has a non-finite entry or either A U = U or U^T A = U^T fails beyond
+    tolerance, SpectralViolation if rho(A - P_U) is not strictly below one.
     """
-    u = basis.u
-    residual = max(np.max(np.abs(a @ u - u)), np.max(np.abs(u.T @ a - u.T)))
-    if residual > TOL_CONSTRAINT:
-        raise InfeasibleConstraints(f"subspace condition residual {residual:.3e}")
-    rho = spectral_radius(a - u @ u.T)
-    if rho >= 1.0 - 1e-6:
-        raise SpectralViolation(f"rho(A - P_U) = {rho:.8f}")
-    return {"residual": float(residual), "rho": rho}
+    return _checked(_minor_spectrum(np.asarray(a), basis.u))
 
 
 def reduced_problem(comb: CombinationMatrix, basis: SubspaceBasis) -> tuple:
@@ -470,10 +541,13 @@ def reduced_problem(comb: CombinationMatrix, basis: SubspaceBasis) -> tuple:
     consensus basis: the residuals are the same numbers and the spectrum of
     W kron I_l - P_U is that of W - 11^T/n, each eigenvalue repeated l times.
     A matrix of l x l blocks is checked as the dense A, against its basis.
+    InfeasibleConstraints names a non-finite entry.
     """
+    matrix = comb.matrix
+    _require_finite(matrix)
     if comb.factored:
-        return comb.matrix, subspace_consensus(comb.topology.n, 1)
-    return comb.matrix, basis
+        return matrix, subspace_consensus(comb.topology.n, 1)
+    return matrix, basis
 
 
 def build_combination(topology, basis, mode="subspace-lsq") -> CombinationMatrix:
@@ -495,8 +569,10 @@ def build_combination(topology, basis, mode="subspace-lsq") -> CombinationMatrix
                                  *_constrained_lsq(topology, basis))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    matrix, checked = reduced_problem(comb, basis)
-    validate_combination(matrix, topology, checked)
+    if comb.factored:
+        _checked(comb.minor_spectrum)
+    else:
+        validate_combination(comb.matrix, topology, basis)
     return comb
 
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from subspaceq import analysis, codec, graphs, learning, quantizers
+from subspaceq import analysis, cli, codec, graphs, learning, quantizers
 from subspaceq.analysis import SpectralReport
 from subspaceq.graphs import CombinationMatrix
 from subspaceq.learning import RunConfig
@@ -148,10 +150,14 @@ def test_nonsymmetric_report_is_the_eigenbasis_route_bitwise():
 
 
 def recording(monkeypatch, calls):
-    for name in ("eigvals", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda mat, _fn=fn, _name=name: calls.append(_name) or _fn(mat))
+    """Append the name of every eigensolver call to calls: numpy's by its
+    bare name, scipy's as "scipy.<name>"."""
+    solvers = [(np.linalg, name, name) for name in ("eigh", "eig", "eigvalsh", "eigvals")]
+    solvers += [(scipy.linalg, name, f"scipy.{name}") for name in ("eigh", "eig")]
+    for module, name, label in solvers:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _fn=fn, _label=label, **kw:
+                            calls.append(_label) or _fn(*args, **kw))
 
 
 def test_validation_solver_follows_exact_symmetry(monkeypatch):
@@ -175,6 +181,84 @@ def test_validation_solver_follows_exact_symmetry(monkeypatch):
         rho = graphs.validate_combination(w, top, scalar)["rho"]
         assert calls == ["eigvalsh"]
         assert abs(rho - float(np.max(np.abs(eigvals(w - scalar.u @ scalar.u.T))))) <= 1e-12
+
+
+def ring(n):
+    return graphs.build_topology(n, [(k, k % n + 1) for k in range(1, n + 1)])
+
+
+CONSENSUS_NETWORKS = {
+    "complete": graphs.build_topology(6, 1.0, seed=0),      # J = 0
+    "pair": graphs.build_topology(2, [(1, 2)]),
+    "ring": ring(40),                                       # rho_j near 1
+    "sparse": graphs.build_topology(60, 0.1, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", CONSENSUS_NETWORKS)
+def test_kept_spectrum_report_matches_the_complement_path(name):
+    top = CONSENSUS_NETWORKS[name]
+    l = 2
+    basis = graphs.subspace_consensus(top.n, l)
+    comb = graphs.build_combination(top, basis, mode="consensus-metropolis")
+    kept = analysis.spectral_report(comb, basis)
+    complement = analysis.spectral_report(
+        CombinationMatrix.from_dense(comb.a, top, comb.block_dims), basis)
+    for key, value in vars(complement).items():
+        assert abs(getattr(kept, key) - value) <= 1e-12, key
+    assert kept.v1 == kept.v2 == 1.0
+    if name == "ring":
+        assert kept.rho_j > 0.99
+
+    # rho is validation's number on W, bit for bit
+    w, scalar = graphs.reduced_problem(comb, basis)
+    checks = graphs.validate_combination(w, top, scalar)
+    assert kept.rho_j == comb.minor_spectrum.rho == checks["rho"]
+    assert comb.minor_spectrum.residual == checks["residual"]
+
+
+CONSENSUS_INI = Path(__file__).resolve().parent.parent / "configs" / "msd_scaling.ini"
+
+
+@pytest.mark.parametrize("connectivity", ["1.0", "0.3"])
+def test_a_consensus_set_up_solves_one_eigenproblem(tmp_path, monkeypatch,
+                                                    capsys, connectivity):
+    path = tmp_path / "consensus.ini"
+    path.write_text(CONSENSUS_INI.read_text().replace(
+        "connectivity = 1.0", f"connectivity = {connectivity}"))
+    exp = cli.load_config(str(path))
+    calls = []
+    recording(monkeypatch, calls)
+    top, basis, comb, models = cli.build_setup(exp)
+    analysis.gamma_bound(analysis.spectral_report(comb, basis), 1.0)
+    assert calls == ["eigvalsh"]
+
+    calls.clear()
+    assert cli.cmd_verify(exp) == 0
+    assert calls == ["eigvalsh"]
+    assert "PASS complement contraction" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_combination_matrix_is_named(bad):
+    # before: numpy's LinAlgError from the eigensolver, and with inf a
+    # RuntimeWarning from the complement product Q^T A Q
+    n = 6
+    top = graphs.build_topology(n, 0.5, seed=3)
+    basis = graphs.subspace_consensus(n, 1)
+    comb = graphs.build_combination(top, basis, mode="consensus-metropolis")
+    w = comb.matrix
+    w[2, 2] = bad
+    match = r"entry \(2, 2\) is (nan|inf), not finite"
+    with pytest.raises(graphs.InfeasibleConstraints, match=match):
+        graphs.validate_combination(w, top, basis)
+    weights = comb.weights.copy()
+    weights[2, np.flatnonzero(comb.index[2] == 2)[0]] = bad
+    factored = CombinationMatrix(top, comb.block_dims, comb.index, weights)
+    dense = CombinationMatrix.from_dense(w, top, comb.block_dims)
+    for kept_or_complement in (factored, dense):
+        with pytest.raises(graphs.InfeasibleConstraints, match=match):
+            analysis.spectral_report(kept_or_complement, basis)
 
 
 def test_minor_contraction_controls_gamma_damped_spectrum():
@@ -392,20 +476,6 @@ def test_sweep_rejects_a_run_shorter_than_the_steady_window(monkeypatch):
     with pytest.raises(ValueError, match="steady window"):
         analysis.rate_distortion_sweep(
             template, models, basis, comb, [(0.1, quantizers.uniform(0.1, l))])
-
-
-def test_sweep_csv_roundtrip(tmp_path):
-    pts = [analysis.SweepPoint(0.1, 12.5, 1e-3, -30.0, False),
-           analysis.SweepPoint(0.2, float("nan"), float("inf"), float("inf"), True)]
-    path = tmp_path / "sweep.csv"
-    analysis.save_sweep_csv(path, pts, version="0.1.0", seed=9)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("#") and "seed=9" in lines[0]
-    assert lines[1] == "param_value,rate_bits,msd,msd_db,diverged_flag"
-    data = np.loadtxt(path, delimiter=",", skiprows=2)
-    assert data.shape == (2, 5)
-    assert data[0, 4] == 0 and data[1, 4] == 1
-    assert np.isinf(data[1, 2]) and np.isnan(data[1, 1])
 
 
 @pytest.mark.parametrize("n, l, conn, seed", [(7, 3, 0.5, 2), (12, 5, 0.3, 8)])

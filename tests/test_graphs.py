@@ -287,6 +287,31 @@ def test_set_up_holds_tables_and_builds_dense_views_bitwise(n, connectivity, l):
             np.arange(index.shape[1]) < sizes[k], a[k, index[k]], 0.0))
 
 
+def test_a_combination_matrix_keeps_its_minor_spectrum_read_only():
+    n = 8
+    top = build_topology(n, 0.5, seed=1)
+    comb = build_combination(top, subspace_consensus(n, 2), "consensus-metropolis")
+    kept = comb.minor_spectrum
+    assert kept is comb.minor_spectrum and kept.symmetric
+    w = comb.matrix
+    u = subspace_consensus(n, 1).u
+    assert np.array_equal(kept.eigenvalues, np.linalg.eigvalsh(w - u @ u.T))
+    copy = pickle.loads(pickle.dumps(comb))
+    assert np.array_equal(copy.minor_spectrum.eigenvalues, kept.eigenvalues)
+    for held in (comb, copy):
+        for array in (held.index, held.weights, held.minor_spectrum.eigenvalues):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    # the caller's arrays stay its own
+    weights = comb.weights.copy()
+    CombinationMatrix(top, comb.block_dims, comb.index, weights)
+    assert weights.flags.writeable
+
+    blocks = CombinationMatrix.from_dense(comb.a, top, comb.block_dims)
+    with pytest.raises(ValueError, match="factored"):
+        blocks.minor_spectrum
+
+
 def test_consensus_set_up_keeps_no_dense_matrix():
     # n = 1,000: the dense W alone is 8 MB, the kept set-up a small part,
     # also once the neighbourhoods have been read and kept
