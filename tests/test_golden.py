@@ -93,6 +93,12 @@ def _diffusion(quantizer, n=6, **kw):
     return learning.run_diffusion(cfg, _models(n), graphs.metropolis_weights(top))
 
 
+def _single_agent(quantizer, **kw):
+    cfg = RunConfig(**{"mu": 0.02, "gamma": 0.8, "iterations": 60, "runs": 2,
+                       "quantizer": quantizer, "seed": 17, **kw})
+    return learning.run_diffusion(cfg, _models(1), np.ones((1, 1)))
+
+
 def _cycle(specs, n):
     return [specs[k % len(specs)] for k in range(n)]
 
@@ -131,6 +137,11 @@ CASES.update({
         PAIRS["gossip"][1], mu=40.0, gamma=1.0, runs=3, iterations=200,
         on_divergence="flag"),
     "flag-diverged-diffusion": lambda: _diffusion(
+        PAIRS["uniform"][0], mu=50.0, gamma=1.0, runs=3, iterations=200,
+        on_divergence="flag"),
+    # n = 1: plain stochastic gradient descent, A = 1
+    "single-agent-anq": lambda: _single_agent(PAIRS["anq"][0]),
+    "single-agent-flag-diverged": lambda: _single_agent(
         PAIRS["uniform"][0], mu=50.0, gamma=1.0, runs=3, iterations=200,
         on_divergence="flag"),
 })
@@ -265,6 +276,16 @@ GOLDEN = {
         'msd': 'a33b779d9e41b8c4d97b0ff4035c2654663eff2c64dc73a70c4b8943ed32fc2f',
         'bits': '8939fce499243e50fddcdf2aa29a83c677d1e3299a883169421a5a7c99b358ef',
         'chi_sq': '1b1f7497f6a1b25c8954676c2f3d18233650cada657857635f1210f9bf20e559',
+    },
+    'single-agent-anq': {
+        'msd': 'd9fe356475eec2567202cfe8be4a388f1741cd2e0fd8a6a3a68e6a43d9636af0',
+        'bits': '85f59aa9a4311d4980f464c6934a9096accabc8bbdebb39cc6620d9c830388cf',
+        'chi_sq': '7efa8510cf7e021846a5653d8e1c898067483fcfdfe447eb7a92ee21a810bdee',
+    },
+    'single-agent-flag-diverged': {
+        'msd': '86bcd52a75ab847c8885b0b6abc0a3f444b54aff3447a5ec985fa3ba3d0ed073',
+        'bits': '8da9fe4462ed75cbc0960ee689d3764494705d97c11543a30ee5790375ba209d',
+        'chi_sq': '120592e85a06451dad343997490bf54f309a89a8e7aaa1eeb26eb41497f7399d',
     },
     'uniform-equal-copies': {
         'msd': 'a33b779d9e41b8c4d97b0ff4035c2654663eff2c64dc73a70c4b8943ed32fc2f',
@@ -425,7 +446,7 @@ def test_every_case_has_a_digest():
 
 def test_divergent_arms_diverge():
     for name in CASES:
-        if name.startswith("flag-diverged"):
+        if "flag-diverged" in name:
             res = CASES[name]()
             assert res.diverged and res.runs_used == 1, name
 
