@@ -110,10 +110,11 @@ def spectral_report(comb: CombinationMatrix, basis: SubspaceBasis) -> SpectralRe
 
 
 def _report(lam, v1, v2) -> SpectralReport:
-    """The report of the minor-block eigenvalues lam and eigenbasis norms."""
+    """The report of the minor-block eigenvalues lam and eigenbasis norms;
+    an empty complement (P = M, a single agent) reports both radii as 0."""
     return SpectralReport(
-        rho_j=float(np.max(np.abs(lam))),
-        rho_i_minus_j=float(np.max(np.abs(1.0 - lam))),
+        rho_j=float(np.max(np.abs(lam), initial=0.0)),
+        rho_i_minus_j=float(np.max(np.abs(1.0 - lam), initial=0.0)),
         v1=v1,
         v2=v2,
     )
@@ -124,7 +125,8 @@ def gamma_bound(report: SpectralReport, beta_q_max: float) -> float:
 
     min{1, (1 - rho_j) / (4 v1^2 v2^2 beta_q_max rho_{I-J}^2)}
     where beta_q_max is the largest relative noise coefficient among the
-    agents' quantizers. Zero relative noise clips to 1. The bound needs a
+    agents' quantizers. A zero denominator, from zero relative noise or an
+    empty complement (rho_{I-J} = 0), clips to 1. The bound needs a
     contracting minor block: rho_j >= 1 raises SpectralViolation.
     """
     if not beta_q_max >= 0:
@@ -132,12 +134,10 @@ def gamma_bound(report: SpectralReport, beta_q_max: float) -> float:
     if not report.rho_j < 1.0:
         raise SpectralViolation(
             f"no admissible mixing parameter: rho_j = {report.rho_j:g} >= 1")
-    if beta_q_max == 0.0:
-        return 1.0
     num = 1.0 - report.rho_j
     den = 4.0 * report.v1**2 * report.v2**2 * beta_q_max \
         * report.rho_i_minus_j ** 2
-    return min(1.0, num / den)
+    return min(1.0, num / den) if den else 1.0
 
 
 def rate_upper_bound(omega, eta, chi_ms, m_k) -> float:

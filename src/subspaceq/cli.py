@@ -17,7 +17,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -250,79 +249,46 @@ def resolve_quantizer(text, mu, l, b_hp):
 def build_setup(exp: Experiment):
     """Topology, basis, combination matrix, and per-agent data models.
 
-    A single-agent network has no proper subspace (the basis type requires
-    P < M), so n = 1 returns basis and combination as None; cmd_run then uses
-    the scalar recursion with A = 1, which is plain stochastic gradient
-    descent.
+    A single agent is the consensus network of one: P = M, U = I_l and
+    A = 1, so its run is plain stochastic gradient descent, and its target
+    is the raw draw (the heat kernel of a 1 x 1 zero Laplacian is 1).
     """
-    if exp.n == 1:
-        top = basis = comb = None
+    if exp.topology_file is not None:
+        try:    # relative to the working directory, not to the config
+            top = graphs.load_topology(exp.topology_file, exp.n)
+        except OSError as exc:
+            raise ConfigError(
+                f"network.topology_file: cannot read {exp.topology_file}: "
+                f"{exc.strerror or exc}") from exc
     else:
-        if exp.topology_file is not None:
-            try:    # relative to the working directory, not to the config
-                top = graphs.load_topology(exp.topology_file, exp.n)
-            except OSError as exc:
-                raise ConfigError(
-                    f"network.topology_file: cannot read {exp.topology_file}: "
-                    f"{exc.strerror or exc}") from exc
-        else:
-            top = graphs.build_topology(exp.n, exp.connectivity, seed=exp.seed)
-        if exp.combination == "consensus-metropolis":
-            basis = graphs.subspace_consensus(exp.n, exp.l)
-        else:
-            basis = graphs.subspace_smooth(top, exp.p_vectors, exp.l,
-                                           weight=exp.lap_weight)
-        comb = graphs.build_combination(top, basis, mode=exp.combination)
+        top = graphs.build_topology(exp.n, exp.connectivity, seed=exp.seed)
+    # one agent's only subspace is its whole space, the consensus one,
+    # whatever combination says
+    mode = "consensus-metropolis" if exp.n == 1 else exp.combination
+    if mode == "consensus-metropolis":
+        basis = graphs.subspace_consensus(exp.n, exp.l)
+    else:
+        basis = graphs.subspace_smooth(top, exp.p_vectors, exp.l,
+                                       weight=exp.lap_weight)
+    comb = graphs.build_combination(top, basis, mode=mode)
 
     var_rng = setup_rng(exp.seed, _LABEL_VARIANCES)
     su = var_rng.uniform(*exp.su_range, exp.n)
     sv = var_rng.uniform(*exp.sv_range, exp.n)
     target_rng = setup_rng(exp.seed, _LABEL_TARGETS)
     raw = target_rng.normal(0.4, 1.0, exp.n * exp.l)
-    if top is None:
-        w_star = raw.reshape(exp.n, exp.l)
-    else:
-        lap = graphs.laplacian(top, exp.lap_weight)
-        w_star = graphs.smooth_signal(lap, raw=raw, tau=exp.tau, l=exp.l)
-        w_star = w_star.reshape(exp.n, exp.l)
+    lap = graphs.laplacian(top, exp.lap_weight)
+    w_star = graphs.smooth_signal(lap, raw=raw, tau=exp.tau, l=exp.l)
+    w_star = w_star.reshape(exp.n, exp.l)
     models = [DataModel(su[k], sv[k], w_star[k]) for k in range(exp.n)]
     return top, basis, comb, models
-
-
-def _run_job(args):
-    models, basis, comb, configs = args
-    if basis is None:
-        return [learning.run_diffusion(c, models, np.ones((1, 1))) for c in configs]
-    return learning.run(configs, models, basis, comb)
-
-
-def _chunks(items, parts):
-    """items in at most `parts` contiguous chunks of nearly equal length."""
-    parts = max(1, min(parts, len(items)))
-    size, extra = divmod(len(items), parts)
-    starts = [p * size + min(p, extra) for p in range(parts + 1)]
-    return [items[a:b] for a, b in zip(starts, starts[1:])]
-
-
-def _map_chunks(fn, args, items, workers):
-    """fn((*args, chunk)) over contiguous chunks of items, one process per
-    chunk (in this process when there is one chunk); the chunks' results
-    are concatenated in order. Each chunk runs as one batch, so the results
-    do not depend on the number of workers."""
-    jobs = [(*args, chunk) for chunk in _chunks(items, workers)]
-    if len(jobs) <= 1:
-        parts = [fn(j) for j in jobs]
-    else:   # the pool starts every process it may use at its first submit
-        with ProcessPoolExecutor(max_workers=len(jobs)) as ex:
-            parts = list(ex.map(fn, jobs))
-    return [r for part in parts for r in part]
 
 
 def _mu_tag(mu):
     return _number(mu).replace(".", "p").replace("-", "m")
 
 
-def cmd_run(exp: Experiment, workers=1) -> int:
+def cmd_run(exp: Experiment) -> int:
     top, basis, comb, models = build_setup(exp)
     out = Path(exp.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -332,7 +298,7 @@ def cmd_run(exp: Experiment, workers=1) -> int:
                          quantizer=resolve_quantizer(exp.quantizer_text, mu,
                                                      exp.l, exp.b_hp))
                for mu in exp.mus]
-    results = _map_chunks(_run_job, (models, basis, comb), configs, workers)
+    results = learning.run(configs, models, basis, comb)
 
     files = []
     for mu, res in zip(exp.mus, results):
@@ -370,9 +336,6 @@ def cmd_verify(exp: Experiment) -> int:
             graphs.InfeasibleConstraints, graphs.SpectralViolation) as exc:
         print(f"FAIL construction: {type(exc).__name__}: {exc}")
         return 2
-    if basis is None:
-        print("PASS single-agent network: combination matrix is the scalar 1")
-        return 0
 
     if comb.factored:
         res, rho = comb.minor_spectrum.residual, comb.minor_spectrum.rho
@@ -431,16 +394,9 @@ def _sweep_grid(exp: Experiment):
     return grids
 
 
-def _sweep_job(args):
-    template, models, basis, comb, points = args
-    return analysis.rate_distortion_sweep(template, models, basis, comb, points)
-
-
-def cmd_rate_distortion(exp: Experiment, workers=1) -> int:
+def cmd_rate_distortion(exp: Experiment) -> int:
     if not exp.sweep_schemes or not exp.sweep_values:
         raise ConfigError("sweep.schemes: required for rate-distortion")
-    if exp.n == 1:
-        raise ConfigError("network.n: rate-distortion sweeps need n >= 2")
     if len(exp.mus) > 1:
         raise ConfigError("algorithm.mu: rate-distortion sweeps one step "
                           f"size, got {len(exp.mus)}")
@@ -456,9 +412,9 @@ def cmd_rate_distortion(exp: Experiment, workers=1) -> int:
     template = RunConfig(mu=mu, gamma=exp.gamma, iterations=exp.iterations,
                          runs=exp.runs, quantizer=quantizers.identity(exp.l),
                          seed=exp.seed, on_divergence="flag")
-    flat = _map_chunks(_sweep_job, (template, models, basis, comb),
-                       [point for _, points in grids for point in points],
-                       workers)
+    flat = analysis.rate_distortion_sweep(
+        template, models, basis, comb,
+        [point for _, points in grids for point in points])
 
     curves = {}
     i = 0
@@ -555,7 +511,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         if name != "verify":    # verify writes nothing and runs nothing
-            p.add_argument("--workers", type=int, default=1)
             p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
 
@@ -575,13 +530,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(load_config(args.config, seed_override=args.seed))
-        if args.workers < 1:
-            raise ConfigError("--workers: must be >= 1")
         exp = load_config(args.config, seed_override=args.seed,
                           out_override=args.out)
         if args.command == "run":
-            return cmd_run(exp, workers=args.workers)
-        return cmd_rate_distortion(exp, workers=args.workers)
+            return cmd_run(exp)
+        return cmd_rate_distortion(exp)
     except (ConfigError, quantizers.SpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -127,10 +127,11 @@ class SubspaceBasis:
         m = self.u.shape[0]
         if sum(self.block_dims) != m:
             raise ValueError("block dimensions do not sum to the basis rows")
-        if not self.p < m:
-            raise ValueError("subspace dimension must be below the ambient one")
+        if not self.p <= m:
+            raise ValueError("subspace dimension must not exceed the ambient one")
         gram = self.u.T @ self.u
-        if np.max(np.abs(gram - np.eye(self.p))) > TOL_ORTHO:
+        # a NaN fails the comparison, so it fails the check
+        if not np.max(np.abs(gram - np.eye(self.p))) <= TOL_ORTHO:
             raise ValueError("basis is not semi-unitary")
 
     @property
@@ -298,8 +299,8 @@ def build_topology(n, connectivity, seed=None) -> Topology:
     if not isinstance(n, numbers.Integral):
         raise ValueError(f"agent count n must be an integer, got {n!r}")
     n = int(n)
-    if n < 2:
-        raise ValueError("need at least two agents")
+    if n < 1:
+        raise ValueError("need at least one agent")
     if np.isscalar(connectivity) and not isinstance(connectivity, (tuple, list)):
         prob = float(connectivity)
         if not 0 < prob <= 1:

@@ -32,7 +32,6 @@ __all__ = [
     "sample_gradient",
     "step",
     "run",
-    "run_diffusion",
     "steady_mean",
     "save_metrics_csv",
 ]
@@ -40,8 +39,7 @@ __all__ = [
 
 class NonFinite(RuntimeError):
     """An iterate left the finite range; carries the iteration index. Both
-    constructor arguments stay in args, so the error pickles intact across
-    worker processes."""
+    constructor arguments stay in args, so the error pickles intact."""
 
     def __init__(self, iteration, message="iterate exceeded the divergence guard"):
         super().__init__(iteration, message)
@@ -419,12 +417,11 @@ def _check_batch(configs, models):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _monte_carlo(configs, models, w_opt, index, mix, debug=False) -> list:
-    """The Monte-Carlo loop that run and run_diffusion share; one RunResult
-    per config, of configs that passed _check_batch.
+    """The Monte-Carlo loop of run; one RunResult per config, of configs
+    that passed _check_batch.
 
-    The entry points differ only in the deviation reference w_opt (n, l)
-    and in the neighbor table of one network, index and mix as _plan takes
-    them. Every round is one step call on the stacked NetworkState: configs
+    It takes the deviation reference w_opt (n, l) and the neighbor table of
+    one network, index and mix as _plan takes them. Every round is one step call on the stacked NetworkState: configs
     stack in list order, each round drawing every stream cell once for all
     of them, and every repetition starts from w = phi = 0 with its own
     StreamField, told the number of rounds.
@@ -578,32 +575,6 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     results = _monte_carlo(configs, models, w_opt, comb.index,
                            _mixing_weights(comb.weights, l), debug)
     return results[0] if isinstance(config, RunConfig) else results
-
-
-def run_diffusion(config: RunConfig, models, a_scalar) -> RunResult:
-    """Standalone scalar-weight diffusion recursion with quantized exchange.
-
-    The consensus special case with no basis machinery: the same step as
-    run, mixing w_k = (1 - gamma) phi_k + gamma sum_j a_kj phi_j over a
-    neighbor table of a_scalar's nonzero entries, each row's columns in
-    ascending order as run's table holds them (zero-weight padding after).
-    Randomness follows the same stream discipline as run, so the two
-    recursions see identical draws and their trajectories can be compared
-    round for round. The deviation reference is the variance-weighted
-    network average of the local targets, replicated at every agent.
-    """
-    a_scalar = np.asarray(a_scalar, dtype=float)
-    n, l = _check_batch([config], models)
-    if a_scalar.shape != (n, n):
-        raise ValueError("scalar combination matrix has the wrong shape")
-    weights = np.array([m.sigma_u_sq for m in models])
-    wbar = np.average(np.stack([m.w_star for m in models]), axis=0,
-                      weights=weights)
-    width = max(1, int(np.count_nonzero(a_scalar, axis=1).max()))
-    index = np.argsort(a_scalar == 0, axis=1, kind="stable")[:, :width]
-    table = np.take_along_axis(a_scalar, index, axis=1)
-    return _monte_carlo([config], models, np.tile(wbar, (n, 1)), index,
-                        _mixing_weights(table, l))[0]
 
 
 def save_metrics_csv(path, result: RunResult, version, seed, per_agent=False):

@@ -7,8 +7,8 @@ encodes (iteration, agent, purpose). Two consequences:
 * runs are independent and can execute in any order or in parallel without
   changing a single drawn bit;
 * the draw consumed by agent k at iteration i does not depend on how many draws
-  other agents made, so alternative recursions (e.g. the scalar diffusion form)
-  see identical gradient noise under a shared master seed.
+  other agents made, so a recursion written out agent by agent sees the same
+  gradient noise as run under a shared master seed.
 """
 
 from __future__ import annotations

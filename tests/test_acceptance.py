@@ -22,6 +22,7 @@ import pytest
 from subspaceq import analysis, codec, graphs, learning, quantizers
 from subspaceq.learning import DataModel, RunConfig
 from subspaceq.streams import setup_rng
+from test_learning import hand_recursion
 
 L_VEC = 5
 MU0 = 0.003
@@ -212,7 +213,8 @@ def test_combination_construction_ensembles():
 
 def test_consensus_reduction_equivalence():
     # shared seeds, identity quantizer, full mixing: the subspace recursion
-    # on a consensus basis must match the standalone scalar-weight recursion
+    # on a consensus basis must match the scalar-weight recursion written
+    # out per agent
     n = 10
     top = graphs.build_topology(n, 0.5, seed=3)
     basis = graphs.subspace_consensus(n, L_VEC)
@@ -221,9 +223,11 @@ def test_consensus_reduction_equivalence():
     cfg = RunConfig(mu=MU0, gamma=1.0, iterations=1000, runs=1,
                     quantizer=quantizers.identity(L_VEC), seed=7)
     full = learning.run(cfg, models, basis, comb)
-    flat = learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
-    gap = float(np.max(np.abs(full.msd - flat.msd)))
-    same_bits = bool(np.array_equal(full.bits, flat.bits))
+    msd, _ = hand_recursion(models, graphs.metropolis_weights(top), cfg)
+    gap = float(np.max(np.abs(full.msd - msd)))
+    # the identity quantizer sends every component at full precision
+    same_bits = bool(np.array_equal(
+        full.bits, np.full((cfg.iterations, n), L_VEC * 32.0)))
     ok = gap <= 1e-12 and same_bits
     assert report(ok, "consensus reduction equivalence",
                   f"1000 iterations, max MSD deviation {gap:.2e}, "

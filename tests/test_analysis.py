@@ -43,6 +43,18 @@ def test_projector_report_is_trivial():
     assert rep.v2 == pytest.approx(1.0, abs=1e-10)
 
 
+def test_single_agent_report_is_an_empty_complement():
+    # P = M: no minor block, so both radii are 0 and the bound is 1; before,
+    # gamma_bound divided by rho_{I-J}^2 = 0
+    basis = graphs.subspace_consensus(1, 3)
+    comb = graphs.build_combination(graphs.build_topology(1, 1.0), basis,
+                                    mode="consensus-metropolis")
+    rep = analysis.spectral_report(comb, basis)
+    assert rep == SpectralReport(rho_j=0.0, rho_i_minus_j=0.0, v1=1.0, v2=1.0)
+    for beta_sq in (0.0, 0.125, 200.0):
+        assert analysis.gamma_bound(rep, beta_sq) == 1.0
+
+
 def test_metropolis_block_matches_scalar_eigensolve():
     # rho_j of W (x) I must equal the second-largest |eigenvalue| of W itself
     n, l = 8, 3

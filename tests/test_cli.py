@@ -497,78 +497,9 @@ def test_run_byte_identical_across_invocations_and_workers(tmp_path):
     first = (out / "metrics_mu0p01.csv").read_bytes()
     assert cli.main(["run", "--config", path]) == 0
     assert (out / "metrics_mu0p01.csv").read_bytes() == first
-    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "w2"),
-                     "--workers", "2"]) == 0
-    assert (tmp_path / "w2" / "metrics_mu0p01.csv").read_bytes() == first
     assert cli.main(["run", "--config", path, "--out", str(tmp_path / "s2"),
                      "--seed", "12"]) == 0
     assert (tmp_path / "s2" / "metrics_mu0p01.csv").read_bytes() != first
-
-
-def test_run_several_step_sizes_byte_identical_across_workers(tmp_path):
-    # one batched call with workers 1, one chunk per process with workers 2
-    path = base_config(tmp_path, iters=300,
-                       **{"mu = 0.01": "mu = 0.01, 0.02, 0.04"})
-    outputs = {}
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        assert cli.main(["run", "--config", path, "--out", str(out),
-                         "--workers", workers]) == 0
-        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert len(outputs["1"]) == 4
-    assert outputs["1"] == outputs["2"]
-
-
-def test_run_divergence_message_across_workers(tmp_path, capsys):
-    # the diverging job's NonFinite crosses a process boundary intact
-    path = base_config(tmp_path, iters=400, **{"mu = 0.01": "mu = 0.01, 60.0"})
-    assert cli.main(["run", "--config", path, "--workers", "2"]) == 3
-    err = capsys.readouterr().err
-    assert err.count("at iteration") == 1
-    assert "divergence: iterate exceeded the divergence guard at iteration" in err
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps in this one."""
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-@pytest.mark.parametrize("command, extra", [
-    ("run", ""),
-    ("rate-distortion", "\n[sweep]\nschemes = uniform\nvalues = 0.02, 0.2\n")])
-def test_workers_fork_only_the_processes_they_use(tmp_path, monkeypatch,
-                                                  command, extra):
-    # before: max_workers=64 for 2 chunks, so the pool forked 62 idle processes
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    mu = "mu = 0.01" if extra else "mu = 0.01, 0.02"
-    path = base_config(tmp_path, iters=500, extra=extra, **{"mu = 0.01": mu})
-    assert cli.main([command, "--config", path, "--workers", "64"]) == 0
-    assert RecordingPool.sizes == [2]
-
-
-@pytest.mark.parametrize("command", ["run", "rate-distortion"])
-@pytest.mark.parametrize("workers", ["0", "-5"])
-def test_workers_below_one_is_a_config_error(tmp_path, capsys, command, workers):
-    # before: exit 0, run quietly in this process
-    extra = "\n[sweep]\nschemes = uniform\nvalues = 0.1\n"
-    path = base_config(tmp_path, iters=500, extra=extra)
-    assert cli.main([command, "--config", path, "--workers", workers]) == 1
-    assert "config error: --workers: must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 
 def test_step_sizes_name_their_files_exactly(tmp_path, capsys):
@@ -607,6 +538,25 @@ def test_a_repeated_step_size_is_a_config_error(tmp_path, capsys, mus):
     assert not (tmp_path / "out").exists()
 
 
+def test_single_agent_runs_verifies_and_sweeps(tmp_path, capsys):
+    # one agent is the consensus network of one: before, verify printed a
+    # single-agent line and rate-distortion was a config error
+    extra = "\n[sweep]\nschemes = uniform, anq:omega=0.5\nvalues = 0.02, 0.2\n"
+    path = base_config(tmp_path, iters=600, extra=extra,
+                       **{"n = 5": "n = 1"})
+    assert cli.main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 0
+    assert (tmp_path / "r" / "metrics_mu0p01.csv").exists()
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert "PASS complement contraction: rho 0.000000" in out
+    assert "gamma_bound: 1 " in out
+    assert cli.main(["rate-distortion", "--config", path,
+                     "--out", str(tmp_path / "s")]) == 0
+    lines = (tmp_path / "s" / "rate_distortion.csv").read_text().splitlines()
+    assert len(lines) == 2 + 4
+
+
 def test_run_single_agent_is_sgd_trace(tmp_path):
     text = BASE.format(iters=900, out=tmp_path / "out")
     text = text.replace("n = 5", "n = 1")
@@ -621,16 +571,19 @@ def test_run_single_agent_is_sgd_trace(tmp_path):
 
 
 # the compander arm passes the divergence guard; the fine uniform arm's level
-# indices leave the exact range (quantizers.IndexRange) first
+# indices leave the exact range (quantizers.IndexRange) first. The stable
+# step size runs in the same batch, and the message names one iteration
 @pytest.mark.parametrize("quantizer", ["anq:omega=0.25,eta=auto",
                                        "uniform:delta=1e-4"],
                          ids=["anq", "uniform"])
 def test_run_divergence_exit_code(tmp_path, capsys, quantizer):
     path = base_config(tmp_path, iters=400, **{
-        "mu = 0.01": "mu = 60.0",
+        "mu = 0.01": "mu = 0.01, 60.0",
         "quantizer = anq:omega=0.25,eta=auto": f"quantizer = {quantizer}"})
     assert cli.main(["run", "--config", path]) == 3
-    assert "divergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("at iteration") == 1
+    assert "divergence: iterate exceeded the divergence guard at iteration" in err
 
 
 @pytest.mark.parametrize("quantizer", ["uniform:delta=inf",
@@ -733,12 +686,17 @@ def test_verify_identity_quantizer_prints_clipped_bound(tmp_path, capsys):
 @pytest.mark.parametrize("option", [["--workers", "2"], ["--out", "x"]])
 def test_verify_takes_no_workers_or_out(tmp_path, capsys, option):
     # verify runs nothing and writes nothing; before, both were accepted and
-    # ignored
+    # ignored. Every command runs in this one process, so none takes
+    # --workers
     path = base_config(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--config", path, *option])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    commands = ["verify"] + (["run", "rate-distortion"]
+                             if option[0] == "--workers" else [])
+    for command in commands:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", path, *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_spectral_line_names_four_quantities(tmp_path, capsys):
@@ -791,22 +749,6 @@ def test_rate_distortion_combined_csv(tmp_path):
     rows = [l.split(",") for l in lines[2:]]
     assert len(rows) == 4
     assert {r[0] for r in rows} == {"uniform", "anq:omega=0.5"}
-
-
-def test_rate_distortion_byte_identical_across_workers(tmp_path):
-    # 6 grid points: one batched sweep with workers 1, two chunks of 3 with
-    # workers 2, and chunks of 2 with workers 3
-    extra = ("\n[sweep]\nschemes = uniform, anq:omega=0.5\n"
-             "values = 0.02, 0.2, 2.0\n")
-    path = base_config(tmp_path, iters=600, extra=extra)
-    csvs = {}
-    for workers in ("1", "2", "3"):
-        out = tmp_path / f"w{workers}"
-        assert cli.main(["rate-distortion", "--config", path, "--out", str(out),
-                         "--workers", workers]) == 0
-        csvs[workers] = (out / "rate_distortion.csv").read_bytes()
-    assert len(csvs["1"].splitlines()) == 2 + 6
-    assert csvs["1"] == csvs["2"] == csvs["3"]
 
 
 def test_rate_distortion_requires_sweep(tmp_path, capsys):

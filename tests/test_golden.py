@@ -87,16 +87,10 @@ def _lsq_run(quantizer, n=6, **kw):
 
 
 def _diffusion(quantizer, n=6, **kw):
-    top = graphs.build_topology(n, 0.6, seed=5)
     cfg = RunConfig(**{"mu": 0.02, "gamma": 0.8, "iterations": 60, "runs": 2,
                        "quantizer": quantizer, "seed": 17, **kw})
-    return learning.run_diffusion(cfg, _models(n), graphs.metropolis_weights(top))
-
-
-def _single_agent(quantizer, **kw):
-    cfg = RunConfig(**{"mu": 0.02, "gamma": 0.8, "iterations": 60, "runs": 2,
-                       "quantizer": quantizer, "seed": 17, **kw})
-    return learning.run_diffusion(cfg, _models(1), np.ones((1, 1)))
+    return learning.run(cfg, _models(n),
+                        *_network(n, "consensus-metropolis")[1:])
 
 
 def _cycle(specs, n):
@@ -140,9 +134,9 @@ CASES.update({
         PAIRS["uniform"][0], mu=50.0, gamma=1.0, runs=3, iterations=200,
         on_divergence="flag"),
     # n = 1: plain stochastic gradient descent, A = 1
-    "single-agent-anq": lambda: _single_agent(PAIRS["anq"][0]),
-    "single-agent-flag-diverged": lambda: _single_agent(
-        PAIRS["uniform"][0], mu=50.0, gamma=1.0, runs=3, iterations=200,
+    "single-agent-anq": lambda: _diffusion(PAIRS["anq"][0], n=1),
+    "single-agent-flag-diverged": lambda: _diffusion(
+        PAIRS["uniform"][0], n=1, mu=50.0, gamma=1.0, runs=3, iterations=200,
         on_divergence="flag"),
 })
 
@@ -198,12 +192,12 @@ GOLDEN = {
         'chi_sq': '330732022f135600858212b6711574369e0f1e7f6414e750ee4b6fef9440af82',
     },
     'diffusion-cycled': {
-        'msd': '42060548afe1c31010d4e58061ff3dedb867ebc99ac442a4e85b24784a97521f',
+        'msd': '7d239663320d7207695547afee4d8cfce73692c45e623f291d04ce23d9968aee',
         'bits': '4f276cdd48efc250e106494a6591f2d4254ffe98c46ebe489a83d81982356c35',
         'chi_sq': '5db86ded4c80c9769c244770a12d0b82bcddc5399c2d534184c9412a2e8620c3',
     },
     'diffusion-uniform': {
-        'msd': '64be17788e85fde515f0c9cb8065045449129135d3b0e8186c2d0abf976f9054',
+        'msd': 'cc50fe87824185dbd2fc9b7b0be0f39cd01986f20424ebab04f1c4bdcf6eb474',
         'bits': 'b056a60d70492d1e75c11d176695de4414e85750098b6ccb4eab9b3320e8d6ad',
         'chi_sq': 'e9c4f1236e1208d1746c3526af1ddabddae8a42895118bbc3cf0ef4d0cc16211',
     },
@@ -213,7 +207,7 @@ GOLDEN = {
         'chi_sq': '586ef341e3e97daeeed52476687eb46bf106ddbec6f251cbf3ab61ae3d428b81',
     },
     'flag-diverged-diffusion': {
-        'msd': '24266805490f6fb049b7d162a4bd6f8a4d3849d8c5f8677071656b0af5a92f8b',
+        'msd': 'a33ca89a8f07d4e647c1f31310ab3ce8fb5f920660cca07e49d438fa111b841e',
         'bits': 'bb89f689cc69fb203147ec920214a771b9bd84f564a22f55d97ddf631ba11057',
         'chi_sq': '05a41ef4bb3291007505c8bc11657b41d18bb5e49e01d9d5764074b39eba2cb4',
     },
@@ -504,8 +498,9 @@ BLAS_DEPENDENT = {"cycled-qsgd", "shared-qsgd", "mixed-all-kinds", "lsq-anq",
 # differently from the loops numpy falls back to, so every case that uses anq
 # moves when numpy's AVX-512 dispatch is turned off.
 SIMD_DEPENDENT = {"cycled-anq", "debug-anq", "diffusion-cycled", "lsq-anq",
-                  "mixed-all-kinds", "shared-anq", "quantize-anq-first-vec",
-                  "errors-anq-first-vec", "sweep-consensus", "sweep-lsq"}
+                  "mixed-all-kinds", "shared-anq", "single-agent-anq",
+                  "quantize-anq-first-vec", "errors-anq-first-vec",
+                  "sweep-consensus", "sweep-lsq"}
 AVX512_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 
@@ -533,8 +528,9 @@ def test_only_blas_dependent_digests_move_on_another_blas_core():
     summation order sets the last bits of a dot product or a solve. This
     recomputes all three tables in a process forced onto OpenBLAS's
     Prescott kernels (OPENBLAS_CORETYPE). Only BLAS_DEPENDENT cases may
-    change there; every other case, the run_diffusion ones included, makes
-    no BLAS call that reaches its digests.
+    change there; in every other case, the diffusion and single-agent ones
+    included, the BLAS calls that reach a digest (compute_wopt's, at
+    n <= 8 and l = 3) give the same bits on either kernel.
 
     numpy picks its SIMD loops by CPU in the same way. Where numpy reports
     AVX-512F, a second process recomputes the tables with the AVX-512

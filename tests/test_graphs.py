@@ -227,8 +227,17 @@ def test_edge_list_must_hold_pairs():
 def test_agent_count_must_be_an_integer(connectivity):
     with pytest.raises(ValueError, match="agent count n must be an integer"):
         build_topology(3.5, connectivity)
-    with pytest.raises(ValueError, match="need at least two agents"):
-        build_topology(True, connectivity)
+    for n in (0, False):
+        with pytest.raises(ValueError, match="need at least one agent"):
+            build_topology(n, connectivity)
+
+
+@pytest.mark.parametrize("connectivity", [0.3, []], ids=["probability", "edges"])
+def test_one_agent_is_a_connected_topology(connectivity):
+    # before: "need at least two agents"
+    top = build_topology(1, connectivity, seed=4)
+    assert top.n == 1 and top.links.shape == (2, 0)
+    assert top.neighborhoods == (frozenset({0}),)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -371,6 +380,25 @@ def test_basis_validation():
         SubspaceBasis(np.ones((4, 2)), (2, 2), 2)
     with pytest.raises(ValueError, match="sum"):
         SubspaceBasis(np.eye(4)[:, :2], (2, 3), 2)
+    with pytest.raises(ValueError, match="must not exceed"):
+        SubspaceBasis(np.eye(4, 5), (2, 2), 5)
+    # before: a NaN passed max|U^T U - I| > TOL_ORTHO, and
+    # validate_combination failed later inside numpy with LinAlgError
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="semi-unitary"):
+            SubspaceBasis(np.full((4, 1), bad), (1,) * 4, 1)
+
+
+def test_a_single_agent_basis_is_its_whole_space():
+    # P = M: U = I_l, an empty complement, and the Metropolis A = [1]
+    basis = subspace_consensus(1, 3)
+    assert basis.p == basis.m == 3
+    assert np.array_equal(basis.u, np.eye(3))
+    top = build_topology(1, 1.0)
+    comb = build_combination(top, basis, mode="consensus-metropolis")
+    assert comb.factored and np.array_equal(comb.matrix, [[1.0]])
+    assert np.array_equal(comb.a, np.eye(3))
+    assert comb.minor_spectrum.residual == 0.0 and comb.minor_spectrum.rho == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -115,29 +115,20 @@ def test_specs_for_names_a_missing_or_wrong_quantizer(quantizer):
         learning.run(cfg, make_models(3, 2), basis, comb)
 
 
-def _entry(name, top, basis, comb):
-    """run, or run_diffusion on the topology's Metropolis weights, as
-    f(config, models)."""
-    if name == "run":
-        return lambda cfg, models: learning.run(cfg, models, basis, comb)
-    weights = graphs.metropolis_weights(top)
-    return lambda cfg, models: learning.run_diffusion(cfg, models, weights)
-
-
-@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+@pytest.mark.parametrize("entry", ["run"])
 def test_run_rejects_mismatched_shapes(entry):
     top, basis, comb = make_network(4, 2)
     models = make_models(4, 2)
-    go = _entry(entry, top, basis, comb)
+    go = getattr(learning, entry)
     cfg = RunConfig(mu=0.01, gamma=0.9, iterations=5,
                     quantizer=quantizers.identity(3))
     with pytest.raises(ValueError, match="quantizer 0 has dim 3"):
-        go(cfg, models)
+        go(cfg, models, basis, comb)
     cfg = RunConfig(mu=0.01, gamma=0.9, iterations=5,
                     quantizer=quantizers.identity(2))
     bad = models[:3] + [DataModel(2.0, 0.1, np.zeros(3))]
     with pytest.raises(ValueError, match="block dimension"):
-        go(cfg, bad)
+        go(cfg, bad, basis, comb)
 
 
 def test_run_names_a_combination_matrix_of_another_size():
@@ -432,9 +423,6 @@ def test_equal_specs_take_the_batched_path(monkeypatch):
     by_list = learning.run(cfg, models, basis, comb)
     assert len(calls) == iters * runs
     calls.clear()
-    learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
-    assert len(calls) == iters * runs
-    calls.clear()
     shared = learning.run(RunConfig(mu=0.02, gamma=0.8, iterations=iters,
                                     runs=runs, quantizer=copies[0], seed=4),
                           models, basis, comb)
@@ -568,10 +556,10 @@ def _index_range_run(entry, policy):
     cfg = RunConfig(mu=50.0, gamma=1.0, iterations=20, runs=3,
                     quantizer=quantizers.uniform(1e-3, 3), seed=17,
                     on_divergence=policy)
-    return _entry(entry, top, basis, comb)(cfg, make_models(6, 3))
+    return getattr(learning, entry)(cfg, make_models(6, 3), basis, comb)
 
 
-@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+@pytest.mark.parametrize("entry", ["run"])
 def test_index_range_is_flagged_as_divergence(entry):
     res = _index_range_run(entry, "flag")
     assert res.diverged and res.diverged_at == 6 and res.runs_used == 1
@@ -580,7 +568,7 @@ def test_index_range_is_flagged_as_divergence(entry):
         assert np.isfinite(series[:5]).all() and np.isnan(series[5:]).all()
 
 
-@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+@pytest.mark.parametrize("entry", ["run"])
 def test_index_range_raises_nonfinite(entry):
     with pytest.raises(learning.NonFinite) as exc:
         _index_range_run(entry, "raise")
@@ -833,26 +821,36 @@ def test_batch_rejects_configs_that_do_not_share_draws(field, value):
 
 
 # ---------------------------------------------------------------------------
-# the scalar diffusion special case
+# the recursion by hand
 
-def test_diffusion_matches_subspace_run_on_consensus():
-    # run_diffusion mixes the nonzero entries of each row in ascending
-    # column order, as run's neighbor table does, so the two recursions
-    # agree bit for bit; only the deviation references differ by rounding
-    n, l = 6, 2
-    for connectivity, seed in ((0.5, 23), (0.6, 5), (0.3, 4)):
-        top, basis, comb = make_network(n, l, connectivity=connectivity,
-                                        seed=seed, mode="consensus-metropolis")
-        models = make_models(n, l)
-        spec = quantizers.uniform(0.05, l)
-        cfg = RunConfig(mu=0.02, gamma=0.85, iterations=300, runs=2,
-                        quantizer=spec, seed=29)
-        full = learning.run(cfg, models, basis, comb)
-        diff = learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
-        scale = max(1.0, np.max(full.msd))
-        assert np.max(np.abs(full.msd - diff.msd)) < 1e-12 * scale
-        assert np.array_equal(full.bits, diff.bits)
-        assert np.array_equal(full.chi_sq, diff.chi_sq)
+def hand_recursion(models, a, cfg):
+    """msd and chi_sq of run under the identity quantizer, written out per
+    agent from the recursion itself: psi_k from sample_gradient on
+    stream(i, k, GRADIENT), phi = psi, and
+    w_k = (1 - gamma) phi_k + gamma sum_j a[k, j] phi_j with the scalar
+    weights a. The deviation reference is the variance-weighted average of
+    the targets, the consensus optimum."""
+    n, l = len(models), models[0].dim
+    su = np.array([m.sigma_u_sq for m in models])
+    wbar = np.average([m.w_star for m in models], axis=0, weights=su)
+    msd = np.zeros(cfg.iterations + 1)
+    chi_sq = np.zeros((cfg.iterations, n))
+    for rep in range(cfg.runs):
+        streams = StreamField(cfg.seed, rep)
+        w, phi = np.zeros((n, l)), np.zeros((n, l))
+        msd[0] += np.sum((w - wbar) ** 2) / n
+        for i in range(cfg.iterations):
+            psi = np.array([
+                w[k] - cfg.mu * learning.sample_gradient(
+                    models[k], w[k], streams.stream(i, k, GRADIENT))
+                for k in range(n)])
+            chi_sq[i] += np.sum((psi - phi) ** 2, axis=1)
+            phi = psi       # the identity quantizer sends chi as it is
+            w = np.array([(1 - cfg.gamma) * phi[k]
+                          + cfg.gamma * sum(a[k, j] * phi[j] for j in range(n))
+                          for k in range(n)])
+            msd[i + 1] += np.sum((w - wbar) ** 2) / n
+    return msd / cfg.runs, chi_sq / cfg.runs
 
 
 def test_diffusion_on_a_hand_built_matrix_matches_a_hand_recursion():
@@ -863,42 +861,18 @@ def test_diffusion_on_a_hand_built_matrix_matches_a_hand_recursion():
                   [0.0, 0.2, 0.3, 0.5],
                   [0.6, 0.0, 0.0, 0.4],
                   [0.0, 0.0, 0.1, 0.9]])
-    n, l, mu, gamma, seed, runs, iters = 4, 2, 0.05, 0.7, 19, 2, 40
+    n, l = 4, 2
+    top = graphs.build_topology(n, [(1, 2), (2, 3), (2, 4), (1, 3), (3, 4)])
+    comb = graphs.CombinationMatrix.from_dense(np.kron(a, np.eye(l)), top,
+                                               (l,) * n)
     models = make_models(n, l)
-    cfg = RunConfig(mu=mu, gamma=gamma, iterations=iters, runs=runs,
-                    quantizer=quantizers.identity(l), seed=seed)
-    res = learning.run_diffusion(cfg, models, a)
-
-    su = np.array([m.sigma_u_sq for m in models])
-    wbar = np.average([m.w_star for m in models], axis=0, weights=su)
-    msd = np.zeros(iters + 1)
-    chi_sq = np.zeros((iters, n))
-    for rep in range(runs):
-        streams = StreamField(seed, rep)
-        w, phi = np.zeros((n, l)), np.zeros((n, l))
-        msd[0] += np.sum((w - wbar) ** 2) / n
-        for i in range(iters):
-            psi = np.array([
-                w[k] - mu * learning.sample_gradient(
-                    models[k], w[k], streams.stream(i, k, GRADIENT))
-                for k in range(n)])
-            chi_sq[i] += np.sum((psi - phi) ** 2, axis=1)
-            phi = psi       # the identity quantizer sends chi as it is
-            w = np.array([(1 - gamma) * phi[k]
-                          + gamma * sum(a[k, j] * phi[j] for j in range(n))
-                          for k in range(n)])
-            msd[i + 1] += np.sum((w - wbar) ** 2) / n
-    assert np.max(np.abs(res.msd - msd / runs)) < 1e-12 * max(1.0, msd.max())
-    assert np.max(np.abs(res.chi_sq - chi_sq / runs)) < 1e-12 * max(1.0, chi_sq.max())
+    cfg = RunConfig(mu=0.05, gamma=0.7, iterations=40, runs=2,
+                    quantizer=quantizers.identity(l), seed=19)
+    res = learning.run(cfg, models, graphs.subspace_consensus(n, l), comb)
+    msd, chi_sq = hand_recursion(models, a, cfg)
+    assert np.max(np.abs(res.msd - msd)) < 1e-12 * max(1.0, msd.max())
+    assert np.max(np.abs(res.chi_sq - chi_sq)) < 1e-12 * max(1.0, chi_sq.max())
     assert np.all(res.bits == l * 32)
-
-
-def test_diffusion_shape_check():
-    models = make_models(4, 2)
-    cfg = RunConfig(mu=0.02, gamma=0.9, iterations=5,
-                    quantizer=quantizers.identity(2))
-    with pytest.raises(ValueError, match="shape"):
-        learning.run_diffusion(cfg, models, np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 benchmarks/tracing.py wraps library functions by name, at the attribute the
 caller looks up at call time. A rename under src/ must fail here, not only in
-a traced benchmark run, and every round of both recursions must pass through
-the one traced step.
+a traced benchmark run, and every round of the recursion must pass through
+the one traced step. Every name a module exports in __all__ must exist too.
 """
 
+import importlib
+import pkgutil
 import types
 from collections import Counter
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import subspaceq
 from subspaceq import graphs, learning, quantizers, streams
 from subspaceq.learning import DataModel, RunConfig
 from test_streams import rejected_cells
@@ -33,7 +36,20 @@ def test_every_traced_boundary_exists(tracing):
         assert attr in owner.__dict__, f"{owner.__name__} has no {attr}"
 
 
-@pytest.mark.parametrize("entry", ["run", "run_diffusion"])
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is gone breaks
+    # "from subspaceq.<module> import *" and misleads a reader
+    modules = [subspaceq] + [
+        importlib.import_module(f"subspaceq.{info.name}")
+        for info in pkgutil.iter_modules(subspaceq.__path__)
+        if not info.name.startswith("_")]
+    assert len(modules) == 8
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+
+
+@pytest.mark.parametrize("entry", ["run"])
 def test_every_round_is_one_traced_step(tracing, entry):
     n, l, runs, iterations = 4, 2, 2, 3
     top = graphs.build_topology(n, 1.0, seed=1)
@@ -44,10 +60,7 @@ def test_every_round_is_one_traced_step(tracing, entry):
                     quantizer=quantizers.uniform(0.1, l))
     tracer = tracing.Tracer("contract", 0)
     with tracer.patched():
-        if entry == "run":
-            learning.run(cfg, models, basis, comb)
-        else:
-            learning.run_diffusion(cfg, models, graphs.metropolis_weights(top))
+        getattr(learning, entry)(cfg, models, basis, comb)
     assert tracer.layers()["learning.step"][0] == runs * iterations
 
 
