@@ -20,6 +20,7 @@ from .graphs import (CombinationMatrix, SpectralViolation, SubspaceBasis,
 from .learning import STEADY_WINDOW, RunConfig, run, steady_mean
 
 DEFECTIVE_COND = 1e8
+SWEEP_CHUNK_BYTES = 2**26   # accumulators of one learning.run call of a sweep
 
 __all__ = [
     "DefectiveMatrix",
@@ -165,29 +166,39 @@ def rate_distortion_sweep(template: RunConfig, models, basis, comb, grid):
     template config with that quantizer and on_divergence="flag", then
     averages bits per component and MSD over the steady window and the
     Monte-Carlo runs, so the template needs at least STEADY_WINDOW
-    iterations (else ValueError, before any point runs). The whole grid is
-    one learning.run call over a list of configs: the points share the
-    network, seed and step size, so each stream cell is drawn once for all
-    of them and w_opt is computed once, and each point stays bit-identical
-    to a run of its config alone. A point that diverges stops alone and
-    comes back flagged with infinite MSD, never dropped.
+    iterations (else ValueError, before any point runs). The grid runs in
+    consecutive chunks, each one learning.run call over a list of configs
+    whose per-point accumulators, msd (iterations + 1) and bits and chi_sq
+    (iterations, n), hold at most SWEEP_CHUNK_BYTES (at least one point):
+    the points share the network, seed and step size, so each stream cell
+    is drawn once for all of a chunk, and each point stays bit-identical to
+    a run of its config alone. A point that diverges stops alone and comes
+    back flagged with infinite MSD, never dropped.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid must be nonempty")
-    if template.iterations < STEADY_WINDOW:
+    t = template.iterations
+    if t < STEADY_WINDOW:
         raise ValueError(f"iterations must be >= {STEADY_WINDOW}, the steady "
                          "window each point averages")
-    configs = [replace(template, quantizer=spec, on_divergence="flag")
-               for _, spec in grid]
+    chunk = max(1, SWEEP_CHUNK_BYTES // (8 * (t + 1 + 2 * t * len(models))))
     points = []
-    for (value, _), res in zip(grid, run(configs, models, basis, comb)):
-        if res.diverged:
-            points.append(SweepPoint(float(value), float("nan"), float("inf"),
-                                     float("inf"), True))
-            continue
-        rate = float(steady_mean(res.rate))
-        msd = float(steady_mean(res.msd))
-        points.append(SweepPoint(float(value), rate, msd,
-                                 10.0 * math.log10(msd), False))
+    for start in range(0, len(grid), chunk):
+        part = grid[start:start + chunk]
+        configs = [replace(template, quantizer=spec, on_divergence="flag")
+                   for _, spec in part]
+        points += [_sweep_point(value, res) for (value, _), res
+                   in zip(part, run(configs, models, basis, comb))]
     return points
+
+
+def _sweep_point(value, res) -> SweepPoint:
+    """The steady-state point of one result; a point's result, which keeps
+    its whole chunk's accumulators alive, is held no longer than this."""
+    if res.diverged:
+        return SweepPoint(float(value), float("nan"), float("inf"),
+                          float("inf"), True)
+    msd = float(steady_mean(res.msd))
+    return SweepPoint(float(value), float(steady_mean(res.rate)), msd,
+                      10.0 * math.log10(msd), False)

@@ -32,6 +32,7 @@ __all__ = [
     "SpectralViolation",
     "InfeasibleConstraints",
     "SingularProjection",
+    "NonKroneckerBasis",
     "build_topology",
     "save_topology",
     "load_topology",
@@ -71,6 +72,10 @@ class InfeasibleConstraints(ValueError):
 
 class SingularProjection(ValueError):
     """U^T H U is singular; the constrained optimum is not unique."""
+
+
+class NonKroneckerBasis(ValueError):
+    """The basis is not exactly V kron I_l, as a fit per coordinate needs."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,29 +162,36 @@ class MinorSpectrum(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class CombinationMatrix:
-    """Combination matrix A, held as its neighbour table in O(n d_max)
-    memory, since block (k, j) of A is zero unless j neighbours k.
+    """Combination matrix A, held as its neighbour table in O(n d_max l)
+    memory: block (k, j) of A is zero unless j neighbours k, and diagonal,
+    as A mixes each coordinate alone.
 
     ``index`` holds each agent's neighbours in ascending order, padded at
     the end with the agent itself to the largest neighbourhood size d_max,
     as Topology.neighbor_index gives it; ``weights`` holds A there, zero at
     the padding: the scalar W, (n, d_max), when A = W kron I_l
-    (``factored``), else l x l blocks, (n, d_max, l, l). Both are stored as
-    read-only views. ``matrix``, what checks read (W when factored, else
-    A), and ``a``, the dense A, are new arrays on every read; a factored
-    matrix keeps its ``minor_spectrum`` once read.
+    (``factored``), else the diagonals of the blocks, (n, d_max, l); any
+    other shape is a ValueError. Both are stored as read-only views.
+    ``matrix``, what checks read (W when factored, else A), and ``a``, the
+    dense A, are new arrays on every read; a factored matrix keeps its
+    ``minor_spectrum`` once read.
     """
 
     topology: Topology
     block_dims: tuple
     index: np.ndarray             # (n, d_max) neighbour agents
-    weights: np.ndarray           # (n, d_max) W, or (n, d_max, l, l) blocks
+    weights: np.ndarray           # (n, d_max) W, or (n, d_max, l) per coordinate
 
     def __post_init__(self):
         for name in ("index", "weights"):
             view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        l = self.block_dims[0]
+        if (self.weights.shape not in (self.index.shape, self.index.shape + (l,))
+                or any(d != l for d in self.block_dims)):
+            raise ValueError(f"weights of shape {self.weights.shape} for an index "
+                             f"{self.index.shape} and blocks {self.block_dims}")
 
     def __reduce__(self):
         # a copy is built through __init__, so its table is read-only too
@@ -194,8 +206,8 @@ class CombinationMatrix:
     def minor_spectrum(self) -> MinorSpectrum:
         """The checks of a factored W kron I_l, taken on W against the
         scalar consensus basis (see reduced_problem): one eigensolve of
-        W - 11^T/n, on first read. ValueError for a matrix of blocks, whose
-        spectrum depends on its basis."""
+        W - 11^T/n, on first read. ValueError for weights per coordinate,
+        whose spectrum depends on their basis."""
         if not self.factored:
             raise ValueError("only a factored combination matrix keeps its "
                              "minor spectrum")
@@ -209,8 +221,9 @@ class CombinationMatrix:
                              _real_slots(self.index))
         if self.factored:
             return table
-        n, _, l, _ = table.shape
-        return table.transpose(0, 2, 1, 3).reshape(n * l, n * l)
+        n, _, l = table.shape
+        return np.where(np.eye(l, dtype=bool)[None, :, None], table[:, None],
+                        0.0).reshape(n * l, n * l)
 
     @property
     def a(self) -> np.ndarray:
@@ -221,21 +234,30 @@ class CombinationMatrix:
 
     @classmethod
     def from_dense(cls, a, topology: Topology, block_dims) -> "CombinationMatrix":
-        """The block table of a dense M x M matrix a with one block size;
-        ValueError names the first nonzero block the table cannot hold."""
+        """The diagonals of the l x l blocks of a dense M x M matrix a with
+        one block size; ValueError names the first nonzero block outside the
+        neighbourhoods, else the first nonzero entry off a block's diagonal."""
         n, l = topology.n, block_dims[0]
         if any(d != l for d in block_dims) or np.shape(a) != (n * l, n * l):
             raise ValueError("a dense combination matrix needs n blocks of one size")
-        blocks = np.asarray(a, dtype=float).reshape(n, l, n, l).transpose(0, 2, 1, 3)
+        a = np.asarray(a, dtype=float)
+        blocks = a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
         outside = np.any(blocks != 0.0, axis=(2, 3)) & (
             topology.edge_weights + np.eye(n) == 0.0)
         if outside.any():
             k, j = np.argwhere(outside)[0]
             raise ValueError(f"nonzero block ({k}, {j}) outside the neighbourhoods")
+        coordinate = np.arange(n * l) % l
+        coupled = (a != 0.0) & (coordinate[:, None] != coordinate)
+        if coupled.any():
+            r, c = np.argwhere(coupled)[0]
+            raise ValueError(f"nonzero entry ({r}, {c}) off the diagonal of "
+                             f"block ({r // l}, {c // l})")
         index, _ = topology.neighbor_index()
-        real = _real_slots(index)[:, :, None, None]
+        real = _real_slots(index)[:, :, None]
+        diagonals = np.diagonal(blocks, axis1=2, axis2=3)
         return cls(topology, tuple(block_dims), index,
-                   np.where(real, blocks[np.arange(n)[:, None], index], 0.0))
+                   np.where(real, diagonals[np.arange(n)[:, None], index], 0.0))
 
 
 def _real_slots(index) -> np.ndarray:
@@ -246,9 +268,9 @@ def _real_slots(index) -> np.ndarray:
 
 
 def _table_dense(n, index, weights, slots) -> np.ndarray:
-    """The dense (rows, n) array of scalars, or (rows, n, l, l) of blocks,
-    holding weights[r, m] at column index[r, m] for the slots marked; a row
-    marks distinct columns, so the one fancy assignment is well defined."""
+    """The dense (rows, n) array, or (rows, n, l) per coordinate, holding
+    weights[r, m] at column index[r, m] for the slots marked; a row marks
+    distinct columns, so the one fancy assignment is well defined."""
     out = np.zeros((index.shape[0], n) + weights.shape[2:])
     r, m = np.nonzero(slots)
     out[r, index[r, m]] = weights[r, m]
@@ -444,19 +466,18 @@ def _metropolis_table(topology: Topology) -> tuple:
 
 
 def _is_consensus_basis(basis: SubspaceBasis) -> bool:
-    l = basis.block_dims[0]
-    if any(d != l for d in basis.block_dims) or basis.p != l:
-        return False
-    n = len(basis.block_dims)
-    ref = np.kron(np.full((n, 1), 1.0 / np.sqrt(n)), np.eye(l))
-    return np.allclose(basis.u, ref, atol=1e-12)
+    n, l = len(basis.block_dims), basis.block_dims[0]
+    return (all(d == l for d in basis.block_dims) and basis.p == l
+            and np.allclose(basis.u, subspace_consensus(n, l).u, atol=1e-12))
 
 
 def _constrained_lsq(topology, basis):
     # minimize ||A - P_U||_F^2 over the blocks of the neighbour table,
     # row-major, subject to A U = U and U^T A = U^T, via a lightly
     # regularized sparse KKT system; scipy.sparse is imported on this path
-    # only, so that a process that never fits does not load it (1.6 MB)
+    # only, so that a process that never fits does not load it (1.6 MB).
+    # Over U = V kron I_l the problem splits by coordinate and leaves every
+    # off-diagonal entry of a block zero, so the table keeps the diagonals
     import scipy.sparse as sp
 
     u = basis.u
@@ -464,6 +485,8 @@ def _constrained_lsq(topology, basis):
     l = basis.block_dims[0]
     if any(d != l for d in basis.block_dims):
         raise ValueError("subspace-lsq needs one block size for every agent")
+    if not np.array_equal(u, np.kron(u[::l, ::l], np.eye(l))):
+        raise NonKroneckerBasis("subspace-lsq needs a basis V kron I_l exactly")
     index, _ = topology.neighbor_index()
     k, slot = np.nonzero(_real_slots(index))
     within_row, within_col = np.divmod(np.arange(l * l), l)
@@ -489,8 +512,8 @@ def _constrained_lsq(topology, basis):
 
     if np.max(np.abs(C @ a_free - d)) > TOL_CONSTRAINT:
         raise InfeasibleConstraints("sparsity pattern cannot hold the subspace fixed")
-    weights = np.zeros(index.shape + (l, l))
-    weights[k, slot] = a_free.reshape(-1, l, l)
+    weights = np.zeros(index.shape + (l,))
+    weights[k, slot] = np.diagonal(a_free.reshape(-1, l, l), axis1=1, axis2=2)
     return index, weights
 
 
@@ -541,13 +564,13 @@ def reduced_problem(comb: CombinationMatrix, basis: SubspaceBasis) -> tuple:
     A factored consensus matrix W kron I_l is checked as W against the scalar
     consensus basis: the residuals are the same numbers and the spectrum of
     W kron I_l - P_U is that of W - 11^T/n, each eigenvalue repeated l times.
-    A matrix of l x l blocks is checked as the dense A, against its basis.
+    A table per coordinate is checked as the dense A, against its basis.
     InfeasibleConstraints names a non-finite entry.
     """
     matrix = comb.matrix
     _require_finite(matrix)
     if comb.factored:
-        return matrix, subspace_consensus(comb.topology.n, 1)
+        basis = subspace_consensus(comb.topology.n, 1)
     return matrix, basis
 
 
@@ -557,8 +580,10 @@ def build_combination(topology, basis, mode="subspace-lsq") -> CombinationMatrix
 
     mode "consensus-metropolis" requires the consensus basis and keeps the
     doubly stochastic scalar weights W, factored (A = W kron I_l); mode
-    "subspace-lsq" fits the l x l blocks closest to the projector P_U over
-    the sparsity pattern subject to A U = U and U^T A = U^T, for any basis.
+    "subspace-lsq" fits the A closest to the projector P_U over the
+    sparsity pattern subject to A U = U and U^T A = U^T, for a basis
+    U = V kron I_l (else NonKroneckerBasis), and keeps its weights per
+    coordinate.
     """
     if mode == "consensus-metropolis":
         if not _is_consensus_basis(basis):
@@ -597,52 +622,27 @@ def smooth_signal(lap, raw=None, tau=3.0, l=1, seed=None) -> np.ndarray:
     return (kernel @ raw.reshape(n, l)).ravel()
 
 
-def _variance_diagonal(covariances, block_dims):
-    """diag(H) when every covariance is a scalar variance, else None."""
-    variances = [np.asarray(covariances[k], dtype=float) for k in range(len(block_dims))]
-    if any(r.ndim != 0 for r in variances):
-        return None
+def compute_wopt(basis: SubspaceBasis, covariances, w_star) -> np.ndarray:
+    """Exact constrained optimum U (U^T H U)^{-1} U^T H w_star, H = diag(r_k I_l).
+
+    ``covariances`` is a sequence with one scalar variance r_k per agent, each
+    agent's block isotropic; anything else is a ValueError. H is diagonal
+    and never formed: each entry of U^T H is one product, so scaling the
+    columns of U^T gives u.T @ H bit for bit, laid out as the gemm's
+    C-ordered result for the products that follow.
+    """
+    u = basis.u
+    w_star = np.asarray(w_star, dtype=float)
+    variances = [np.asarray(covariances[k], dtype=float)
+                 for k in range(len(basis.block_dims))]
+    shaped = [k for k, r in enumerate(variances) if r.ndim]
+    if shaped:
+        raise ValueError(f"covariance {shaped[0]} is not a scalar variance")
     variances = np.array(variances)
     bad = np.flatnonzero(~(variances > 0))
     if bad.size:
         raise ValueError(f"covariance {bad[0]} is not positive definite")
-    return np.repeat(variances, block_dims)
-
-
-def _expand_covariances(covariances, block_dims):
-    blocks = []
-    for k, d in enumerate(block_dims):
-        r = covariances[k]
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            r = float(r) * np.eye(d)
-        if r.shape != (d, d):
-            raise ValueError(f"covariance {k} has shape {r.shape}, expected ({d}, {d})")
-        if not np.allclose(r, r.T):
-            raise ValueError(f"covariance {k} is not symmetric")
-        if np.linalg.eigvalsh(r)[0] <= 0:
-            raise ValueError(f"covariance {k} is not positive definite")
-        blocks.append(r)
-    return blocks
-
-
-def compute_wopt(basis: SubspaceBasis, covariances, w_star) -> np.ndarray:
-    """Exact constrained optimum U (U^T H U)^{-1} U^T H w_star, H = diag(R_k).
-
-    ``covariances`` is a sequence with one entry per agent, each either a
-    scalar variance (isotropic block) or a full per-block matrix. With scalar
-    variances alone H is diagonal and never formed: each entry of U^T H is
-    one product, so scaling the columns of U^T gives u.T @ H bit for bit,
-    laid out as the gemm's C-ordered result for the products that follow.
-    """
-    u = basis.u
-    w_star = np.asarray(w_star, dtype=float)
-    diag = _variance_diagonal(covariances, basis.block_dims)
-    if diag is None:
-        uth = u.T @ scipy.linalg.block_diag(
-            *_expand_covariances(covariances, basis.block_dims))
-    else:
-        uth = np.ascontiguousarray(u.T * diag)
+    uth = np.ascontiguousarray(u.T * np.repeat(variances, basis.block_dims))
     g = uth @ u
     if np.linalg.cond(g) > 1e12:
         raise SingularProjection("U^T H U is numerically singular")

@@ -301,18 +301,12 @@ def _quantize_all(work, chi, streams, iteration):
 
 
 def _mixing_weights(weights, l):
-    """The weights step mixes for a neighbor table of scalar weights,
-    (n, d), or of l x l blocks, (n, d, l, l). Scalar weights, and blocks
-    that are all diagonal, become (n, d, l) weights per coordinate: A mixes
-    each coordinate of the neighbors' states alone, as A = W kron I_l does
-    and as the least-squares fit over a V kron I_l basis does, whose
-    off-diagonal entries are exactly zero. Blocks with a nonzero
-    off-diagonal entry stay blocks."""
+    """The (n, d, l) weights per coordinate that step mixes, from a
+    neighbor table of scalar weights W, (n, d), repeated over the l
+    coordinates, or of weights per coordinate, (n, d, l), as they are."""
     if weights.ndim == 2:
         return np.repeat(weights[:, :, None], l, axis=2)
-    if weights[:, :, ~np.eye(l, dtype=bool)].any():
-        return weights
-    return np.diagonal(weights, axis1=2, axis2=3).copy()
+    return weights
 
 
 @dataclass(frozen=True)
@@ -325,7 +319,7 @@ class _Plan:
     gamma: np.ndarray             # (rows, 1)
     work: tuple                   # _schemes of the rows
     index: np.ndarray             # (rows, d) neighbor rows
-    mix: np.ndarray               # weights of index: (rows, d, l) or (rows, d, l, l)
+    mix: np.ndarray               # weights of index per coordinate, (rows, d, l)
 
 
 def _plan(models, specs, mu, gamma, index, mix, count=1):
@@ -333,8 +327,7 @@ def _plan(models, specs, mu, gamma, index, mix, count=1):
     row's quantizer spec; mu and gamma are one value per network, or one for
     all. index and mix describe one network, as a CombinationMatrix holds
     them, and are tiled over the stack: an (n, d) index of neighbor agents
-    with weights as _mixing_weights gives them, (n, d, l) per coordinate or
-    (n, d, l, l) blocks."""
+    with weights per coordinate, (n, d, l), as _mixing_weights gives them."""
     n = len(models)
 
     def column(values):
@@ -356,17 +349,15 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
     fixed over the rounds comes from plan (_plan): the models, mu and gamma
     columns, the rows grouped by quantizer scheme (_schemes, one
     quantize_batch call per scheme but randc), and the neighbor table that
-    mixes. Per-coordinate weights, (rows, d, l), mix each coordinate of the
-    neighbors' states alone, with l multiply-adds per neighbor; l x l
-    neighbor blocks, (rows, d, l, l), kept only where _mixing_weights finds
-    a nonzero off-diagonal entry, take l^2. The draws come from streams,
-    the StreamField of the enclosing Monte-Carlo repetition: each agent's
-    GRADIENT cell and the QUANTIZE cells of the agents that read them from
-    the array Philox of StreamField.draws, and each randc row's through
-    stream(). Audit replicas (state.copies) are laid out as
-    the index; debug=True checks them. Returns (per-row message bits,
-    per-row ||chi||^2); bits are NaN where a level index left the exact
-    range.
+    mixes: its weights per coordinate, (rows, d, l), mix each coordinate of
+    the neighbors' states alone, with l multiply-adds per neighbor. The
+    draws come from streams, the StreamField of the enclosing Monte-Carlo
+    repetition: each agent's GRADIENT cell and the QUANTIZE cells of the
+    agents that read them from the array Philox of StreamField.draws, and
+    each randc row's through stream(). Audit replicas (state.copies) are
+    laid out as the index; debug=True checks them. Returns (per-row
+    message bits, per-row ||chi||^2); bits are NaN where a level index
+    left the exact range.
     """
     psi = _draw_psi(state.w, plan.arrays, plan.mu, streams, iteration)
     chi = psi - state.phi
@@ -380,10 +371,7 @@ def step(state: NetworkState, plan: _Plan, streams, iteration, *, debug=False,
         if debug:
             state.check_consistency(plan.index)
         heard = state.copies
-    if plan.mix.ndim == 3:
-        mixed = np.einsum("kmt,kmt->kt", plan.mix, heard)
-    else:
-        mixed = np.einsum("kmst,kmt->ks", plan.mix, heard)
+    mixed = np.einsum("kmt,kmt->kt", plan.mix, heard)
     state.w = (1.0 - plan.gamma) * state.phi + plan.gamma * mixed
 
     if trace is not None:
@@ -540,12 +528,9 @@ def run(config, models, basis: SubspaceBasis, comb: CombinationMatrix,
     randomness from counter-based streams keyed by (repetition, iteration,
     agent), and averages MSD, message bits, and innovation energy across
     repetitions. MSD(i) = (1/N) sum_k ||w_opt_k - w_k,i||^2. Each round
-    mixes only each agent's neighbors, per coordinate when A mixes each
-    coordinate alone: a factored comb (A = W kron I_l), and blocks that are
-    all diagonal, as the least-squares fit over a V kron I_l basis gives.
-    Blocks with a nonzero off-diagonal entry mix as l x l blocks. comb must
-    be built for the models' agent count and block size, as basis must
-    (else ValueError).
+    mixes only each agent's neighbors, each coordinate alone, as every
+    CombinationMatrix does. comb must be built for the models' agent count
+    and block size, as basis must (else ValueError).
     debug=True is the audit mode: every agent keeps replicas of its
     neighbors' states in the neighbor table, mixes from them, and they are
     checked against the owners' states every 100 iterations.

@@ -223,7 +223,8 @@ def test_consensus_reduction_equivalence():
     cfg = RunConfig(mu=MU0, gamma=1.0, iterations=1000, runs=1,
                     quantizer=quantizers.identity(L_VEC), seed=7)
     full = learning.run(cfg, models, basis, comb)
-    msd, _ = hand_recursion(models, graphs.metropolis_weights(top), cfg)
+    msd, _, _ = hand_recursion(
+        cfg, models, basis, np.kron(graphs.metropolis_weights(top), np.eye(L_VEC)))
     gap = float(np.max(np.abs(full.msd - msd)))
     # the identity quantizer sends every component at full precision
     same_bits = bool(np.array_equal(

@@ -476,6 +476,64 @@ def test_sweep_rejects_empty_grid():
         analysis.rate_distortion_sweep(template, models, basis, comb, [])
 
 
+def _point_bytes(points):
+    return np.array([dataclasses.astuple(p) for p in points], dtype=float).tobytes()
+
+
+def test_a_sweep_in_chunks_equals_one_call_bitwise(monkeypatch):
+    # seven points, one of them diverging (uniform(1e-20) leaves the exact
+    # range), in chunks of three: three learning.run calls, the same bits
+    models, basis, comb, l = sweep_setup()
+    template = RunConfig(mu=0.05, gamma=0.9, iterations=500, runs=2,
+                         quantizer=quantizers.identity(l), seed=3)
+    grid = [(d, quantizers.uniform(d, l)) for d in (0.002, 0.02, 1e-20, 0.2)]
+    grid += [(e, quantizers.anq(0.5, e, l)) for e in (0.005, 0.01, 0.05)]
+    whole = analysis.rate_distortion_sweep(template, models, basis, comb, grid)
+    assert [p.diverged for p in whole] == [False, False, True] + [False] * 4
+
+    calls, real_run = [], analysis.run
+
+    def counted(configs, *args):
+        calls.append(len(configs))
+        return real_run(configs, *args)
+
+    point = 8 * (501 + 2 * 500 * len(models))   # msd, bits and chi_sq
+    monkeypatch.setattr(analysis, "run", counted)
+    monkeypatch.setattr(analysis, "SWEEP_CHUNK_BYTES", 3 * point + point // 2)
+    chunked = analysis.rate_distortion_sweep(template, models, basis, comb, grid)
+    assert calls == [3, 3, 1]
+    assert _point_bytes(chunked) == _point_bytes(whole)
+    # a point larger than the bound still runs, alone
+    calls.clear()
+    monkeypatch.setattr(analysis, "SWEEP_CHUNK_BYTES", 1)
+    single = analysis.rate_distortion_sweep(template, models, basis, comb, grid[:2])
+    assert calls == [1, 1]
+    assert _point_bytes(single) == _point_bytes(whole[:2])
+
+
+RATE_DISTORTION_INI = CONSENSUS_INI.parent / "rate_distortion.ini"
+
+
+def test_the_rate_distortion_grid_is_one_run_call(monkeypatch):
+    # its 30 points at n = 10 and 1,500 iterations hold 7.2 MB of
+    # accumulators, well under the chunk bound
+    exp = cli.load_config(RATE_DISTORTION_INI)
+    grid = [point for _, points in cli._sweep_grid(exp) for point in points]
+    calls = []
+
+    def one_call(configs, *args):
+        calls.append(len(configs))
+        return [learning.RunResult(None, None, None, None, diverged=True)
+                for _ in configs]
+
+    monkeypatch.setattr(analysis, "run", one_call)
+    template = RunConfig(mu=exp.mus[0], gamma=exp.gamma,
+                         iterations=exp.iterations, runs=exp.runs,
+                         quantizer=quantizers.identity(exp.l))
+    analysis.rate_distortion_sweep(template, [None] * exp.n, None, None, grid)
+    assert calls == [30]
+
+
 def test_sweep_rejects_a_run_shorter_than_the_steady_window(monkeypatch):
     models, basis, comb, l = sweep_setup()
     template = RunConfig(mu=0.02, gamma=0.9, iterations=learning.STEADY_WINDOW - 1,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from subspaceq import graphs, learning, quantizers
 from subspaceq.learning import DataModel, NetworkState, RunConfig
 from subspaceq.streams import StreamField
+from test_learning import assert_matches_hand_recursion
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -147,7 +148,7 @@ def test_a_drifted_replica_raises_state_desync(data):
 
 
 # ---------------------------------------------------------------------------
-# per-coordinate mixing of the least-squares fit
+# the least-squares fit against the round written out per agent
 
 @st.composite
 def smooth_fits(draw):
@@ -179,40 +180,24 @@ def smooth_fits(draw):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(smooth_fits(), st.data())
-def test_smooth_fits_mix_per_coordinate_bitwise(fit, data):
+def test_smooth_fits_match_the_hand_recursion(fit, data):
+    # the fit's table per coordinate runs as the dense A it stands for
     models, basis, comb = fit
     n, l = len(models), models[0].dim
-    # every off-diagonal entry of every fitted block is exactly zero
-    off = ~np.eye(l, dtype=bool)
-    assert not comb.weights[:, :, off].any()
-    per_coordinate = learning._mixing_weights(comb.weights, l)
-    assert per_coordinate.shape == comb.weights.shape[:3]
-
-    # runs mixing the (n, d, l) table and the (n, d, l, l) blocks agree
+    assert comb.weights.shape == comb.index.shape + (l,)
+    # every scheme but uniform(1e-20), which leaves the exact range
+    specs = SPECS[:2] + SPECS[3:]
     config = RunConfig(mu=data.draw(st.sampled_from([0.01, 0.05, 0.2])),
                        gamma=data.draw(st.sampled_from([0.5, 0.9, 1.0])),
                        iterations=data.draw(st.integers(1, 40)),
                        runs=data.draw(st.integers(1, 2)),
                        seed=data.draw(st.integers(0, 99)),
-                       quantizer=quantizer_for(data.draw, n, l),
-                       on_divergence="flag")
-    debug = data.draw(st.booleans())
-    got = learning.run(config, models, basis, comb, debug=debug)
-    with pytest.MonkeyPatch.context() as blocks:
-        blocks.setattr(learning, "_mixing_weights", lambda weights, l: weights)
-        want = learning.run(config, models, basis, comb, debug=debug)
-    for field in ("msd", "bits", "chi_sq"):
-        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-    assert (got.diverged_at, got.runs_used) == (want.diverged_at, want.runs_used)
-
-    # one nonzero off-diagonal entry keeps the matrix on the block path
-    if l > 1:
-        a = comb.a
-        k = data.draw(st.integers(0, n - 1))
-        a[k * l, k * l + 1] = 1e-3
-        skewed = graphs.CombinationMatrix.from_dense(a, comb.topology,
-                                                     comb.block_dims)
-        assert learning._mixing_weights(skewed.weights, l) is skewed.weights
+                       quantizer=[spec(l) for spec in data.draw(
+                           st.lists(st.sampled_from(specs), min_size=n,
+                                    max_size=n))])
+    result = learning.run(config, models, basis, comb,
+                          debug=data.draw(st.booleans()))
+    assert_matches_hand_recursion(result, basis, comb.a, models)
 
 
 # ---------------------------------------------------------------------------

@@ -708,6 +708,42 @@ def test_verify_spectral_line_names_four_quantities(tmp_path, capsys):
                         r"v1=\S+ v2=\S+", line)
 
 
+# what verify prints for the shipped configs, byte for byte; a change to a
+# printed digit is a declared change of the combination matrix or its checks
+VERIFY_OUTPUT = {
+    "baseline": (
+        "PASS subspace constraints: max residual 5.302e-12\n"
+        "PASS complement contraction: rho 0.958539\n"
+        "PASS sparsity pattern: off-neighborhood blocks all zero\n"
+        "spectral report: rho_j=0.958539 rho_i_minus_j=1.293401 v1=1.000000 v2=1.000000\n"
+        "gamma_bound: 0.0495678 (beta_sq=0.125, configured gamma=0.88)\n"
+        "note: configured gamma exceeds the sufficient bound\n"
+    ),
+    "rate_distortion": (
+        "PASS subspace constraints: max residual 5.551e-17\n"
+        "PASS complement contraction: rho 0.000000\n"
+        "PASS sparsity pattern: off-neighborhood blocks all zero\n"
+        "spectral report: rho_j=0.000000 rho_i_minus_j=1.000000 v1=1.000000 v2=1.000000\n"
+        "gamma_bound: 1 (beta_sq=0, configured gamma=0.1)\n"
+    ),
+    "msd_scaling": (
+        "PASS subspace constraints: max residual 5.551e-17\n"
+        "PASS complement contraction: rho 0.000000\n"
+        "PASS sparsity pattern: off-neighborhood blocks all zero\n"
+        "spectral report: rho_j=0.000000 rho_i_minus_j=1.000000 v1=1.000000 v2=1.000000\n"
+        "gamma_bound: 1 (beta_sq=0.125, configured gamma=0.88)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_OUTPUT)
+def test_verify_prints_the_frozen_checks_of_a_shipped_config(name, capsys,
+                                                             monkeypatch):
+    monkeypatch.chdir(ROOT)     # baseline names its edge list from here
+    assert cli.main(["verify", "--config", f"configs/{name}.ini"]) == 0
+    assert capsys.readouterr().out == VERIFY_OUTPUT[name]
+
+
 def test_verify_disconnected_topology_file(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("1 2\n3 4\n")  # two components on 4 nodes

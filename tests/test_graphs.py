@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -576,6 +575,103 @@ def test_lsq_combination_needs_one_block_size():
         build_combination(top, basis, mode="subspace-lsq")
 
 
+def test_a_combination_matrix_holds_scalar_or_per_coordinate_weights():
+    top = build_topology(5, 0.6, seed=2)
+    comb = build_combination(top, subspace_consensus(5, 3), "consensus-metropolis")
+    index = comb.index
+    assert CombinationMatrix(top, comb.block_dims, index,
+                             np.zeros(index.shape + (3,))).weights.ndim == 3
+    # l x l blocks, another coordinate count, a row of weights
+    for shape in (index.shape + (3, 3), index.shape + (2,), index.shape[:1]):
+        with pytest.raises(ValueError, match=r"weights of shape \("):
+            CombinationMatrix(top, comb.block_dims, index, np.zeros(shape))
+
+
+@st.composite
+def connected_topologies(draw):
+    """A random spanning tree of 2 to 10 agents, with random chords."""
+    n = draw(st.integers(2, 10))
+    edges = {(draw(st.integers(1, k - 1)), k) for k in range(2, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return build_topology(n, sorted(edges))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(connected_topologies(), st.data())
+def test_the_fit_over_a_smooth_basis_mixes_each_coordinate_alone(top, data):
+    # the KKT solution over U = V kron I_l leaves every off-diagonal entry
+    # of every fitted l x l block exactly zero; the fit keeps the diagonals
+    # bit for bit, and so does build_combination where the fit contracts
+    l = data.draw(st.integers(1, 5))
+    basis = subspace_smooth(top, data.draw(st.integers(1, top.n - 1)), l,
+                            weight=data.draw(st.sampled_from([0.1, 1.0])))
+    solutions, spsolve = [], sp.linalg.spsolve
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp.linalg, "spsolve",
+                  lambda *args: solutions.append(spsolve(*args)) or solutions[-1])
+        try:
+            index, weights = graphs._constrained_lsq(top, basis)
+        except InfeasibleConstraints:
+            weights = None      # the solve misses the constraints
+    [solution] = solutions
+    real = graphs._real_slots(top.neighbor_index()[0])
+    blocks = solution[:np.count_nonzero(real) * l * l].reshape(-1, l, l)
+    assert not blocks[:, ~np.eye(l, dtype=bool)].any()
+    if weights is None:
+        return
+    assert weights.shape == real.shape + (l,) and not weights[~real].any()
+    diagonals = np.diagonal(blocks, axis1=1, axis2=2)
+    assert weights[real].tobytes() == diagonals.tobytes()
+    try:
+        comb = build_combination(top, basis, mode="subspace-lsq")
+    except SpectralViolation:
+        return
+    assert comb.weights.tobytes() == weights.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(connected_topologies(), st.data())
+def test_a_basis_not_exactly_kronecker_never_reaches_the_solve(top, data):
+    l = data.draw(st.integers(2, 5))
+    u = subspace_smooth(top, data.draw(st.integers(1, top.n - 1)), l,
+                        weight=0.1).u.copy()
+    if data.draw(st.booleans()):
+        # V kron Q for an orthogonal Q: the same subspace, other coordinates
+        rng = np.random.default_rng(data.draw(st.integers(0, 99)))
+        q, _ = np.linalg.qr(rng.normal(size=(l, l)))
+        u = u @ np.kron(np.eye(u.shape[1] // l), q)
+    else:
+        # one entry one ulp off
+        r = data.draw(st.integers(0, u.shape[0] - 1))
+        c = data.draw(st.integers(0, u.shape[1] - 1))
+        u[r, c] = np.nextafter(u[r, c], np.inf)
+    basis = SubspaceBasis(u, (l,) * top.n, u.shape[1])
+
+    def no_solve(*args):
+        raise AssertionError("the fit reached spsolve")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sp.linalg, "spsolve", no_solve)
+        with pytest.raises(graphs.NonKroneckerBasis, match="V kron I_l"):
+            build_combination(top, basis, mode="subspace-lsq")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(connected_topologies(), st.data())
+def test_from_dense_names_an_entry_off_a_block_diagonal(top, data):
+    n, l = top.n, data.draw(st.integers(2, 5))
+    a = build_combination(top, subspace_consensus(n, l), "consensus-metropolis").a
+    k = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.sampled_from(sorted(top.neighborhoods[k])))
+    s, t = data.draw(st.permutations(range(l)))[:2]
+    r, c = k * l + s, j * l + t
+    a[r, c] = data.draw(st.sampled_from([5e-324, -0.5, 0.25]))
+    with pytest.raises(ValueError, match=rf"nonzero entry \({r}, {c}\) off the "
+                                         rf"diagonal of block \({k}, {j}\)"):
+        CombinationMatrix.from_dense(a, top, (l,) * n)
+
+
 # ---------------------------------------------------------------------------
 # ground truth
 
@@ -626,14 +722,11 @@ def test_wopt_matches_weighted_lstsq_route():
     top = build_topology(6, 0.5, seed=3)
     basis = subspace_smooth(top, 2, 2, weight=1.0)
     rng = np.random.default_rng(10)
-    covs = []
-    for _ in range(6):
-        b = rng.normal(size=(2, 2))
-        covs.append(b @ b.T + 0.5 * np.eye(2))
+    variances = rng.uniform(0.5, 2.5, 6)
     w_star = rng.normal(size=12)
-    w_opt = compute_wopt(basis, covs, w_star)
-    h = scipy.linalg.block_diag(*covs)
-    root = np.linalg.cholesky(h)
+    w_opt = compute_wopt(basis, list(variances), w_star)
+    h = np.diag(np.repeat(variances, 2))
+    root = np.sqrt(h)
     z, *_ = np.linalg.lstsq(root.T @ basis.u, root.T @ w_star, rcond=None)
     assert np.max(np.abs(w_opt - basis.u @ z)) < 1e-9
     # optimality: the H-weighted residual is orthogonal to the subspace
@@ -646,19 +739,17 @@ def test_wopt_errors():
     basis = subspace_consensus(3, 1)
     with pytest.raises(ValueError, match="positive definite"):
         compute_wopt(basis, [1.0, -1.0, 1.0], np.zeros(3))
-    with pytest.raises(ValueError, match="shape"):
-        compute_wopt(basis, [np.eye(2)] * 3, np.zeros(3))
+    with pytest.raises(ValueError, match="covariance 0 is not a scalar variance"):
+        compute_wopt(basis, [np.eye(1)] * 3, np.zeros(3))
     top = build_topology(3, [(1, 2), (2, 3)])
     smooth = subspace_smooth(top, 2, 1, weight=1.0)
     with pytest.raises(SingularProjection):
         compute_wopt(smooth, [1e-20, 1e-20, 1.0], np.zeros(3))
 
 
-def dense_h_wopt(basis, covariances, w_star):
-    """Oracle: the optimum through the dense (nl)^2 block-diagonal H."""
-    blocks = [np.asarray(r, dtype=float) * np.eye(d) if np.ndim(r) == 0 else r
-              for r, d in zip(covariances, basis.block_dims)]
-    h = scipy.linalg.block_diag(*blocks)
+def dense_h_wopt(basis, variances, w_star):
+    """Oracle: the optimum through the dense (nl)^2 diagonal H."""
+    h = np.diag(np.repeat(variances, basis.block_dims))
     u = basis.u
     return u @ np.linalg.solve(u.T @ h @ u, u.T @ h @ w_star)
 
@@ -680,18 +771,17 @@ def test_wopt_scalar_path_equals_the_dense_h_formula_bitwise():
                                       dense_h_wopt(basis, variances, w_star))
 
 
-def test_wopt_full_covariances_keep_the_block_diagonal_path():
+def test_wopt_takes_scalar_variances_only():
+    # a full l x l covariance is named, before any product is formed
     rng = np.random.default_rng(22)
     top = build_topology(8, 0.5, seed=1)
     basis = subspace_smooth(top, 2, 3, weight=0.1)
-    covs = []
-    for _ in range(8):
-        b = rng.normal(size=(3, 3))
-        covs.append(b @ b.T + 0.5 * np.eye(3))
-    covs[2] = 1.7                                           # one scalar among matrices
     w_star = rng.normal(size=24)
-    assert np.array_equal(compute_wopt(basis, covs, w_star),
-                          dense_h_wopt(basis, covs, w_star))
+    b = rng.normal(size=(3, 3))
+    covs = [1.0] * 8
+    covs[2] = b @ b.T + 0.5 * np.eye(3)
+    with pytest.raises(ValueError, match=r"covariance 2 is not a scalar variance"):
+        compute_wopt(basis, covs, w_star)
     with pytest.raises(ValueError, match="covariance 1 is not positive definite"):
         compute_wopt(basis, [1.0, float("nan")] + [1.0] * 6, w_star)
 

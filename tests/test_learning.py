@@ -196,10 +196,10 @@ def test_two_agent_step_by_hand():
     models = [DataModel(su[k], sv[k], np.array([ws[k]])) for k in range(n)]
     mu, gamma, seed = 0.1, 0.7, 31
     specs = [quantizers.identity(1)] * 2
-    blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
     a = comb.a  # scalar entries, l = 1
     plan = learning._plan(models, specs, mu, gamma,
-                          np.broadcast_to(np.arange(n), (n, n)), blocks)
+                          np.broadcast_to(np.arange(n), (n, n)),
+                          learning._mixing_weights(comb.matrix, l))
 
     state = NetworkState(n, l)
     streams = StreamField(seed, 0)
@@ -261,7 +261,8 @@ def test_additive_noise_form_at_gamma_one():
     specs = [spec] * n
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
     plan = learning._plan(models, specs, 0.05, 1.0,
-                          np.broadcast_to(np.arange(n), (n, n)), blocks)
+                          np.broadcast_to(np.arange(n), (n, n)),
+                          np.diagonal(blocks, axis1=2, axis2=3))
     state = NetworkState(n, l)
     streams = StreamField(3, 0)
     for i in range(20):
@@ -289,7 +290,8 @@ def test_replica_consistency_and_desync_detection():
     state = NetworkState(n, l, width=n)
     streams = StreamField(19, 0)
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
-    plan = learning._plan(models, cfg.specs_for(n), 0.02, 0.8, index, blocks)
+    plan = learning._plan(models, cfg.specs_for(n), 0.02, 0.8, index,
+                          np.diagonal(blocks, axis1=2, axis2=3))
     for i in range(5):
         learning.step(state, plan, streams, i, debug=True)
     state.check_consistency(index)
@@ -334,19 +336,24 @@ def test_neighbor_combine_equals_dense_einsum_bitwise(mode):
         basis = graphs.subspace_smooth(top, 2, l, weight=0.1)
     comb = graphs.build_combination(top, basis, mode=mode)
     index, mix = comb.index, comb.weights
-    # a factored A mixes scalar weights W[k, j], the fit l x l blocks
+    # a factored A mixes scalar weights W[k, j], the fit the diagonals of
+    # its l x l blocks
     assert mix.shape == ((n, index.shape[1]) if comb.factored
-                         else (n, index.shape[1], l, l))
+                         else (n, index.shape[1], l))
     degrees = [top.degree(k) for k in range(n)]
     assert min(degrees) < index.shape[1] == max(degrees)
     blocks = comb.a.reshape(n, l, n, l).transpose(0, 2, 1, 3)
+    diagonals = np.diagonal(blocks, axis1=2, axis2=3)
     for k in range(n):
         real = index[k, :degrees[k]]
         assert list(real) == sorted(top.neighborhoods[k])
         assert np.all(index[k, degrees[k]:] == k)
         assert np.all(mix[k, degrees[k]:] == 0.0)
-        held = comb.matrix[k, real] if comb.factored else blocks[k, real]
+        held = comb.matrix[k, real] if comb.factored else diagonals[k, real]
         assert np.array_equal(mix[k, :degrees[k]], held)
+        # the dense view's blocks are the diagonal matrices of the table
+        assert np.array_equal(blocks[k, real],
+                              diagonals[k, real][:, :, None] * np.eye(l))
     # both mix per coordinate, as step does
     weights = learning._mixing_weights(mix, l)
     assert weights.shape == (n, index.shape[1], l)
@@ -680,8 +687,8 @@ def test_batched_configs_equal_separate_runs_bitwise():
 
 
 def test_factored_run_equals_dense_run_bitwise(monkeypatch):
-    # the per-coordinate combine of A = W kron I_l against the l x l block
-    # combine of the same matrix held dense
+    # A = W kron I_l held as W, and as the diagonals gathered from its
+    # dense view, mix the same weights per coordinate
     top, basis, comb = _batch_network()
     dense = graphs.CombinationMatrix.from_dense(comb.a, comb.topology,
                                                 comb.block_dims)
@@ -691,10 +698,8 @@ def test_factored_run_equals_dense_run_bitwise(monkeypatch):
     # 1 and 3 pass DIVERGENCE_LIMIT, 6 leaves the exact range in round 0
     stacked = [grid[k] for k in (0, 1, 3, 6, 10)]
     cases = [(grid[0], False), (stacked, False), (stacked[:3], True)]
-    with monkeypatch.context() as blocks:
-        blocks.setattr(learning, "_mixing_weights", lambda weights, l: weights)
-        want = [learning.run(cfg, models, basis, dense, debug=debug)
-                for cfg, debug in cases]
+    want = [learning.run(cfg, models, basis, dense, debug=debug)
+            for cfg, debug in cases]
 
     def dense_read(self):
         raise AssertionError("the factored run read the dense matrix")
@@ -823,34 +828,52 @@ def test_batch_rejects_configs_that_do_not_share_draws(field, value):
 # ---------------------------------------------------------------------------
 # the recursion by hand
 
-def hand_recursion(models, a, cfg):
-    """msd and chi_sq of run under the identity quantizer, written out per
-    agent from the recursion itself: psi_k from sample_gradient on
-    stream(i, k, GRADIENT), phi = psi, and
-    w_k = (1 - gamma) phi_k + gamma sum_j a[k, j] phi_j with the scalar
-    weights a. The deviation reference is the variance-weighted average of
-    the targets, the consensus optimum."""
+def hand_recursion(cfg, models, basis, a):
+    """(msd, bits, chi_sq) of run, written out per agent from the
+    recursion itself for any scheme: psi_k from sample_gradient on
+    stream(i, k, GRADIENT); chi_k = psi_k - phi_k sent by its own
+    quantizers.quantize call on stream(i, k, QUANTIZE) and reconstructed
+    into phi_k; and w = (1 - gamma) phi + gamma A phi with the dense
+    M x M matrix a. The deviation reference is
+    U (U^T H U)^{-1} U^T H w_star with the dense diagonal H. For configs
+    that do not diverge."""
     n, l = len(models), models[0].dim
-    su = np.array([m.sigma_u_sq for m in models])
-    wbar = np.average([m.w_star for m in models], axis=0, weights=su)
+    specs = cfg.specs_for(n)
+    u = basis.u
+    h = np.diag(np.repeat([m.sigma_u_sq for m in models], l))
+    w_star = np.concatenate([m.w_star for m in models])
+    w_opt = u @ np.linalg.solve(u.T @ h @ u, u.T @ h @ w_star)
     msd = np.zeros(cfg.iterations + 1)
+    bits = np.zeros((cfg.iterations, n))
     chi_sq = np.zeros((cfg.iterations, n))
     for rep in range(cfg.runs):
         streams = StreamField(cfg.seed, rep)
-        w, phi = np.zeros((n, l)), np.zeros((n, l))
-        msd[0] += np.sum((w - wbar) ** 2) / n
+        w, phi = np.zeros(n * l), np.zeros(n * l)
+        msd[0] += np.sum((w - w_opt) ** 2) / n
         for i in range(cfg.iterations):
-            psi = np.array([
-                w[k] - cfg.mu * learning.sample_gradient(
-                    models[k], w[k], streams.stream(i, k, GRADIENT))
-                for k in range(n)])
-            chi_sq[i] += np.sum((psi - phi) ** 2, axis=1)
-            phi = psi       # the identity quantizer sends chi as it is
-            w = np.array([(1 - cfg.gamma) * phi[k]
-                          + cfg.gamma * sum(a[k, j] * phi[j] for j in range(n))
-                          for k in range(n)])
-            msd[i + 1] += np.sum((w - wbar) ** 2) / n
-    return msd / cfg.runs, chi_sq / cfg.runs
+            for k in range(n):
+                own = slice(k * l, (k + 1) * l)
+                psi = w[own] - cfg.mu * learning.sample_gradient(
+                    models[k], w[own], streams.stream(i, k, GRADIENT))
+                chi = psi - phi[own]
+                msg = quantizers.quantize(specs[k], chi,
+                                          streams.stream(i, k, QUANTIZE))
+                phi[own] += quantizers.reconstruct(specs[k], msg)
+                bits[i, k] += msg.bit_cost
+                chi_sq[i, k] += chi @ chi
+            w = (1 - cfg.gamma) * phi + cfg.gamma * (a @ phi)
+            msd[i + 1] += np.sum((w - w_opt) ** 2) / n
+    return msd / cfg.runs, bits / cfg.runs, chi_sq / cfg.runs
+
+
+def assert_matches_hand_recursion(result, basis, a, models):
+    """result's bits equal the hand recursion's exactly, its msd and
+    chi_sq to 1e-12 relative."""
+    msd, bits, chi_sq = hand_recursion(result.config, models, basis, a)
+    assert not result.diverged
+    assert np.array_equal(result.bits, bits)
+    assert np.max(np.abs(result.msd - msd)) <= 1e-12 * np.max(msd)
+    assert np.max(np.abs(result.chi_sq - chi_sq)) <= 1e-12 * np.max(chi_sq)
 
 
 def test_diffusion_on_a_hand_built_matrix_matches_a_hand_recursion():
@@ -868,11 +891,40 @@ def test_diffusion_on_a_hand_built_matrix_matches_a_hand_recursion():
     models = make_models(n, l)
     cfg = RunConfig(mu=0.05, gamma=0.7, iterations=40, runs=2,
                     quantizer=quantizers.identity(l), seed=19)
-    res = learning.run(cfg, models, graphs.subspace_consensus(n, l), comb)
-    msd, chi_sq = hand_recursion(models, a, cfg)
-    assert np.max(np.abs(res.msd - msd)) < 1e-12 * max(1.0, msd.max())
-    assert np.max(np.abs(res.chi_sq - chi_sq)) < 1e-12 * max(1.0, chi_sq.max())
+    basis = graphs.subspace_consensus(n, l)
+    res = learning.run(cfg, models, basis, comb)
+    assert_matches_hand_recursion(res, basis, np.kron(a, np.eye(l)), models)
     assert np.all(res.bits == l * 32)
+
+
+# every scheme, one agent each, and two more uniform and anq agents
+MIXED_SCHEMES = [
+    lambda l: quantizers.identity(l),
+    lambda l: quantizers.uniform(0.05, l),
+    lambda l: quantizers.anq(0.5, 0.01, l),
+    lambda l: quantizers.randc(2, l),
+    lambda l: quantizers.gossip(0.6, l),
+    lambda l: quantizers.sparsifier(0.5, l),
+    lambda l: quantizers.qsgd(4, l),
+    lambda l: quantizers.uniform(0.2, l),
+    lambda l: quantizers.anq(1.0, 0.02, l),
+]
+
+
+@pytest.mark.parametrize("mode", ["consensus-metropolis", "subspace-lsq"])
+def test_run_matches_the_hand_recursion_with_schemes_mixed_by_agent(mode):
+    n, l = 9, 3
+    top, basis, comb = make_network(n, l, connectivity=0.6, seed=3, mode=mode)
+    assert comb.weights.ndim == (2 if mode == "consensus-metropolis" else 3)
+    models = make_models(n, l)
+    specs = [make(l) for make in MIXED_SCHEMES]
+    configs = [RunConfig(mu=0.05, gamma=0.8, iterations=300, runs=2,
+                         quantizer=specs, seed=3),
+               RunConfig(mu=0.02, gamma=0.5, iterations=300, runs=2,
+                         quantizer=specs[::-1], seed=3)]
+    # a stack of two configs, each against its own hand recursion
+    for result in learning.run(configs, models, basis, comb):
+        assert_matches_hand_recursion(result, basis, comb.a, models)
 
 
 # ---------------------------------------------------------------------------
